@@ -72,8 +72,11 @@ StepContext::StepContext(const ts::TransitionSystem& ts, const Config& config)
     pre_.flush();
   }
 
-  for (sat::Lit cl : constraint_lits_) {
-    solver_.add_unit(cl);  // design constraints hold unconditionally
+  constraint_units_ = config.constraint_units;
+  if (constraint_units_) {
+    for (sat::Lit cl : constraint_lits_) {
+      solver_.add_unit(cl);  // design constraints hold unconditionally
+    }
   }
 
   // Path constraints behind one activation literal: on every non-final
@@ -115,6 +118,13 @@ void StepContext::retire_activation(sat::Lit act) {
   retired_activations_++;
 }
 
+void StepContext::require_lift_context() const {
+  if (constraint_units_ && !constraint_lits_.empty()) {
+    throw std::logic_error(
+        "ic3: lifting needs a context without constraint units");
+  }
+}
+
 ts::Cube StepContext::lift_core_to_cube() const {
   ts::Cube cube;
   for (sat::Lit c : solver_.conflict_core()) {
@@ -139,6 +149,7 @@ ts::Cube StepContext::lift_predecessor(const std::vector<bool>& state,
   //                            OR some assumed property fails now).
   // Assuming the full (state, inputs) must make this UNSAT; the core over
   // the state literals is the lifted cube.
+  require_lift_context();
   sat::Lit act = fresh_activation();
   std::vector<sat::Lit> clause{~act};
   for (const ts::StateLit& l : target) {
@@ -186,6 +197,7 @@ ts::Cube StepContext::lift_bad(const std::vector<bool>& state,
   // Refutation clause: act -> (property holds OR a design constraint
   // fails). UNSAT core over state literals = states that, under these
   // inputs, violate the property while satisfying the constraints.
+  require_lift_context();
   sat::Lit act = fresh_activation();
   std::vector<sat::Lit> clause{~act, prop_lit_};
   for (sat::Lit c : constraint_lits_) clause.push_back(~c);

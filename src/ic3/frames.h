@@ -45,6 +45,11 @@ class StepContext {
     std::size_t target_prop = 0;
     std::vector<std::size_t> assumed;  // property indices assumed to hold
     bool init_units = false;           // assert initial state (frame 0)
+    // Assert the design constraints as permanent units. Lift contexts
+    // must turn this off: under a unit, the "some constraint fails"
+    // disjuncts of a lift's refutation clause are dead, so the lifted
+    // cube could keep states that violate a constraint.
+    bool constraint_units = true;
     // Preprocess the transition-relation CNF (subsumption + bounded
     // variable elimination over the Tseitin auxiliaries) before solving.
     // Only used on the direct-encode path (tmpl == nullptr); a template
@@ -65,7 +70,8 @@ class StepContext {
   // every state in it, under `inputs`, (a) transitions into `target`
   // (predecessor form) or (b) violates the target property (bad form);
   // design constraints are always respected; assumed properties are
-  // respected only when `respect_assumed` is set.
+  // respected only when `respect_assumed` is set. Throw std::logic_error
+  // on a context that asserts the design's constraints as units.
   ts::Cube lift_predecessor(const std::vector<bool>& state,
                             const std::vector<bool>& inputs,
                             const ts::Cube& target, bool respect_assumed);
@@ -93,6 +99,7 @@ class StepContext {
   sat::Lit fresh_activation();
   void retire_activation(sat::Lit act);
   ts::Cube lift_core_to_cube() const;
+  void require_lift_context() const;
 
   const ts::TransitionSystem& ts_;
   sat::Solver solver_;
@@ -109,6 +116,7 @@ class StepContext {
   // satisfy any property).
   sat::Lit assumed_act_;
   std::vector<sat::Lit> constraint_lits_;
+  bool constraint_units_ = true;  // Config::constraint_units
 
   // Maps solver variable -> latch index (for core extraction), -1 if none.
   std::vector<int> var_to_latch_;

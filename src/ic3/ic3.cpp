@@ -7,6 +7,7 @@
 
 #include "aig/sim.h"
 #include "base/log.h"
+#include "base/rng.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -24,6 +25,7 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats) {
   metrics.add("ic3.seed_clauses_dropped", stats.seed_clauses_dropped);
   metrics.add("ic3.solver_rebuilds", stats.solver_rebuilds);
   metrics.add("ic3.mined_invariants", stats.mined_invariants);
+  metrics.add("ic3.mining_sim_settled", stats.mining_sim_settled);
   metrics.add("ic3.solver_contexts_created", stats.solver_contexts_created);
   metrics.add("ic3.template_builds", stats.template_builds);
   metrics.add("ic3.template_instantiations", stats.template_instantiations);
@@ -39,6 +41,60 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats) {
   metrics.add_gauge("ic3.encode_seconds", stats.encode_seconds);
   metrics.max_gauge("ic3.peak_live_solvers",
                     static_cast<double>(stats.peak_live_solvers));
+}
+
+namespace {
+
+// Mining-sweep size: words of 64 patterns, and steps per word.
+constexpr int kMiningSimWords = 4;
+constexpr int kMiningSimSteps = 64;
+
+}  // namespace
+
+std::vector<char> settle_by_simulation(
+    const ts::TransitionSystem& ts, std::size_t target,
+    const std::vector<std::size_t>& assumed,
+    const std::vector<ts::StateLit>& candidates) {
+  std::vector<char> settled(candidates.size(), 0);
+  std::vector<std::size_t> open;
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) open.push_back(ci);
+
+  const aig::Aig& aig = ts.aig();
+  std::vector<aig::Lit> path = ts.design_constraints();
+  path.push_back(ts.property_lit(target));
+  for (std::size_t j : assumed) path.push_back(ts.property_lit(j));
+
+  Rng rng((target + 1) * 0x9e3779b97f4a7c15ULL);
+  aig::Simulator64 sim(aig);
+  std::vector<std::uint64_t> state(ts.num_latches());
+  std::vector<std::uint64_t> inputs(ts.num_inputs());
+  for (int word = 0; word < kMiningSimWords && !open.empty(); ++word) {
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      switch (aig.latches()[i].reset) {
+        case Ternary::True: state[i] = ~0ULL; break;
+        case Ternary::False: state[i] = 0; break;
+        case Ternary::X: state[i] = rng.next(); break;
+      }
+    }
+    std::uint64_t alive = ~0ULL;
+    for (int step = 0; step < kMiningSimSteps && alive != 0 && !open.empty();
+         ++step) {
+      for (std::uint64_t& in : inputs) in = rng.next();
+      sim.eval(state, inputs);
+      for (aig::Lit l : path) alive &= sim.value(l);
+      sim.step_state(state);
+      // Every live pattern's new state is reachable under the path
+      // constraints.
+      std::erase_if(open, [&](std::size_t ci) {
+        const ts::StateLit& lit = candidates[ci];
+        const std::uint64_t w = state[lit.latch];
+        if (((lit.value ? w : ~w) & alive) == 0) return false;
+        settled[ci] = 1;
+        return true;
+      });
+    }
+  }
+  return settled;
 }
 
 Ic3::Ic3(const ts::TransitionSystem& ts, std::size_t target_prop,
@@ -134,8 +190,9 @@ void Ic3::note_context_created(double seconds, bool templated,
   stats_.peak_live_solvers = std::max(stats_.peak_live_solvers, live);
 }
 
-std::unique_ptr<FrameSolver> Ic3::make_solver(int k) {
+std::unique_ptr<FrameSolver> Ic3::make_solver(int k, bool constraint_units) {
   StepContext::Config config = base_config(k == 0);
+  config.constraint_units = constraint_units;
   Timer timer;
   auto fs = std::make_unique<FrameSolver>(ts_, config);
   // The new context is still in our hands, not in a member yet: +1 live.
@@ -265,7 +322,8 @@ FrameSolver& Ic3::lift_ctx() {
       absorb_stats(*lift_solver_);
       lift_solver_.reset();
     }
-    lift_solver_ = make_solver(-1);  // no init units, no frame clauses
+    // No init units, no frame clauses, no constraint units.
+    lift_solver_ = make_solver(-1, /*constraint_units=*/false);
   }
   return *lift_solver_;
 }
@@ -544,28 +602,47 @@ void Ic3::absorb_lemma_candidates() {
 }
 
 void Ic3::mine_singleton_invariants() {
+  // Candidates: latch literals that contradict the reset and are not
+  // already F_inf clauses, in latch order.
+  std::vector<ts::StateLit> candidates;
+  for (std::size_t i = 0; i < ts_.num_latches(); ++i) {
+    for (bool value : {false, true}) {
+      ts::Cube c{ts::StateLit{static_cast<int>(i), value}};
+      if (!ts_.cube_disjoint_from_init(c)) continue;
+      bool known = false;
+      for (const ts::Cube& have : inf_cubes_) {
+        if (ts::cube_subsumes(have, c)) known = true;
+      }
+      if (!known) candidates.push_back(c[0]);
+    }
+  }
+  if (candidates.empty()) return;
+
+  // done[ci]: settled by the sweep (its query would answer Sat) or mined.
+  // A literal's sweep flag does not depend on the other candidates and a
+  // mined literal is never flagged, so a resumed Mining phase recomputes
+  // the same count.
+  std::vector<char> done =
+      settle_by_simulation(ts_, target_prop_, opts_.assumed, candidates);
+  stats_.mining_sim_settled =
+      static_cast<std::uint64_t>(std::count(done.begin(), done.end(), 1));
+
   // A few passes so that mutually dependent singletons (a latch whose
   // inductiveness needs another mined clause) settle; designs rarely need
   // more than two.
   for (int pass = 0; pass < 3; ++pass) {
     bool changed = false;
-    for (std::size_t i = 0; i < ts_.num_latches(); ++i) {
-      for (bool value : {false, true}) {
-        ts::Cube c{ts::StateLit{static_cast<int>(i), value}};
-        if (!ts_.cube_disjoint_from_init(c)) continue;
-        bool known = false;
-        for (const ts::Cube& have : inf_cubes_) {
-          if (ts::cube_subsumes(have, c)) known = true;
-        }
-        if (known) continue;
-        if (checked(counted_consecution(
-                prof_consecution_, &Ic3Stats::consecution_queries, kLevelInf,
-                c, /*add_negation=*/true, nullptr)) ==
-            sat::SolveResult::Unsat) {
-          add_inf_cube(c);
-          stats_.mined_invariants++;
-          changed = true;
-        }
+    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+      if (done[ci]) continue;
+      ts::Cube c{candidates[ci]};
+      if (checked(counted_consecution(
+              prof_consecution_, &Ic3Stats::consecution_queries, kLevelInf,
+              c, /*add_negation=*/true, nullptr)) ==
+          sat::SolveResult::Unsat) {
+        add_inf_cube(c);
+        stats_.mined_invariants++;
+        done[ci] = 1;
+        changed = true;
       }
     }
     if (!changed) break;

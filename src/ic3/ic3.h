@@ -97,6 +97,9 @@ struct Ic3Stats {
   std::uint64_t seed_clauses_dropped = 0;
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t mined_invariants = 0;
+  // Singleton-mining candidates the simulation sweep settled (seen on a
+  // live path, hence never inductive) without a SAT query.
+  std::uint64_t mining_sim_settled = 0;
   // Encode-reuse accounting (cnf/template.h + the monolithic solver).
   // A "context" is any SAT solver this engine constructed (frame, lift,
   // F_inf, monolithic, seed checker — including rebuilds); encode_seconds
@@ -131,6 +134,20 @@ struct Ic3Stats {
 // iteration), so the registry's totals reconcile exactly with the summed
 // per-property Ic3Stats of the MultiResult.
 void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats);
+
+// The singleton-mining prefilter. Simulates random input sequences from I
+// (X resets drawn at random), 64 patterns per word, and flags every
+// candidate literal that some pattern shows on a live path: one whose
+// earlier steps all satisfied the design constraints, the target and
+// every `assumed` property — the path constraints of a consecution query.
+// Candidates must contradict their latch's reset. A flagged literal is
+// reachable in the constrained system, so its negation holds in no valid
+// F_inf and its consecution query would answer Sat. Returns one flag per
+// candidate; deterministic in `target`.
+std::vector<char> settle_by_simulation(
+    const ts::TransitionSystem& ts, std::size_t target,
+    const std::vector<std::size_t>& assumed,
+    const std::vector<ts::StateLit>& candidates);
 
 // A resource slice for one resumable run() call. Zero fields are
 // unlimited. Time is wall-clock for this slice; conflicts count SAT
@@ -253,7 +270,8 @@ class Ic3 {
   // delta-frame clause lists into it.
   void install_mono(int frames);
   StepContext::Config base_config(bool init_units);
-  std::unique_ptr<FrameSolver> make_solver(int k);
+  std::unique_ptr<FrameSolver> make_solver(int k,
+                                           bool constraint_units = true);
   // Throwaway context for seed-clause validation (template-backed when
   // templates are on, so the fixpoint iterations stay cheap).
   std::unique_ptr<FrameSolver> make_checker();
@@ -324,6 +342,7 @@ class Ic3 {
   // property forbids the trigger" invariants instantly (e.g. a stage
   // latch that can only rise when an assumed property has already
   // failed), which frame-relative generalization discovers only slowly.
+  // Candidates settled by settle_by_simulation are skipped without a query.
   void mine_singleton_invariants();
   void propagate_and_check_fixpoint();
   sat::SolveResult checked(sat::SolveResult r) const;

@@ -498,15 +498,24 @@ void Solver::reduce_learned() {
 
 void Solver::simplify_level0() {
   assert(decision_level() == 0);
+  // Sweep only when the level-0 trail grew since the last sweep, and only
+  // after as many propagations as the DB had literals then: a sweep per
+  // solve() would cost a full DB pass on every incremental query.
+  if (trail_.size() == simp_db_assigns_ ||
+      stats_.propagations < simp_db_props_) {
+    return;
+  }
   // Level-0 assignments are facts; their reasons are never inspected again.
   for (Lit l : trail_) reason_[l.var()] = kCRefUndef;
-  auto sweep = [this](std::vector<CRef>& list) {
+  std::uint64_t live_literals = 0;
+  auto sweep = [this, &live_literals](std::vector<CRef>& list) {
     std::size_t j = 0;
     for (CRef cr : list) {
       if (ca_[cr].deleted()) continue;
       if (clause_satisfied(ca_[cr])) {
         remove_clause(cr);
       } else {
+        live_literals += ca_[cr].size();
         list[j++] = cr;
       }
     }
@@ -515,6 +524,8 @@ void Solver::simplify_level0() {
   sweep(clauses_);
   sweep(learnts_);
   check_garbage();
+  simp_db_assigns_ = trail_.size();
+  simp_db_props_ = stats_.propagations + live_literals;
 }
 
 // --- garbage collection ---------------------------------------------------

@@ -191,6 +191,11 @@ class Solver : public ClauseSink {
   const Deadline* deadline_ = nullptr;
   std::uint64_t conflict_budget_ = 0;
   std::uint64_t conflicts_at_solve_start_ = 0;
+  // Level-0 sweep gate (MiniSat's simpDB_assigns/simpDB_props): the trail
+  // size at the last sweep, and the propagation count before which the
+  // next sweep is not worth its pass over the clause DB.
+  std::size_t simp_db_assigns_ = SIZE_MAX;
+  std::uint64_t simp_db_props_ = 0;
   SolverStats stats_;
 };
 

@@ -17,6 +17,7 @@
 
 #include "fault/fault.h"
 #include "gen/random_design.h"
+#include "ic3/ic3.h"
 #include "mp/sched/property_task.h"
 #include "mp/sched/scheduler.h"
 #include "mp/sched/worker_pool.h"
@@ -88,6 +89,39 @@ long long first_holding_property(const mp::MultiResult& r) {
   for (std::size_t p = 0; p < r.per_property.size(); ++p) {
     if (r.per_property[p].verdict == mp::PropertyVerdict::HoldsLocally ||
         r.per_property[p].verdict == mp::PropertyVerdict::HoldsGlobally) {
+      return static_cast<long long>(p);
+    }
+  }
+  return -1;
+}
+
+// A holding property whose standalone engine, under the degrade ladder's
+// last ("isolated") rung, still makes a consecution query. A persistent
+// ic3.consecution fault on it then fires on every rung, so the task must
+// run out of rungs. (Some holding properties close on the isolated rung
+// with no consecution query at all: the mining sweep settles every
+// candidate and the first frame is already a fixpoint.)
+long long holding_property_needing_consecution(
+    const ts::TransitionSystem& ts, const mp::MultiResult& r,
+    const mp::sched::EngineOptions& engine) {
+  const mp::sched::EngineOptions isolated =
+      mp::sched::degrade_for_rung(engine, mp::sched::num_ladder_rungs());
+  for (std::size_t p = 0; p < r.per_property.size(); ++p) {
+    const mp::PropertyVerdict v = r.per_property[p].verdict;
+    if (v != mp::PropertyVerdict::HoldsLocally &&
+        v != mp::PropertyVerdict::HoldsGlobally) {
+      continue;
+    }
+    ic3::Ic3Options opts;
+    if (v == mp::PropertyVerdict::HoldsLocally) {
+      opts.assumed = mp::sched::local_assumptions(ts, p);
+    }
+    opts.lifting_respects_constraints = isolated.lifting_respects_constraints;
+    opts.simplify = isolated.simplify;
+    opts.solver_mode = isolated.ic3_solver;
+    opts.use_template = isolated.ic3_use_template;
+    ic3::Ic3 engine_run(ts, p, opts);
+    if (engine_run.run().stats.consecution_queries > 0) {
       return static_cast<long long>(p);
     }
   }
@@ -440,23 +474,32 @@ TEST(FaultMatrix, BmcSweepFaultQuarantinesTheSweepNotTheRun) {
 }
 
 TEST(FaultMatrix, ShardedRunSurvivesATargetedFault) {
-  aig::Aig aig = small_design(53, 6);
-  ts::TransitionSystem ts(aig);
   mp::shard::ShardedOptions base;
   base.base = hybrid_opts();
   base.clustering.min_similarity = 0.3;
   base.clustering.max_cluster_size = 2;
-  mp::MultiResult clean = mp::shard::ShardedScheduler(ts, base).run();
-  long long target = first_holding_property(clean);
-  ASSERT_GE(target, 0);
+  // The first design, from seed 53 on, with a holding property that needs
+  // a consecution query on every rung.
+  for (std::uint64_t seed = 53; seed < 53 + 8; ++seed) {
+    aig::Aig aig = small_design(seed, 6);
+    ts::TransitionSystem ts(aig);
+    mp::MultiResult clean = mp::shard::ShardedScheduler(ts, base).run();
+    long long target =
+        holding_property_needing_consecution(ts, clean, base.base.engine);
+    if (target < 0) continue;
 
-  mp::shard::ShardedOptions so = base;
-  so.base.engine.fault_plan =
-      "ic3.consecution@1+:prop=" + std::to_string(target);
-  mp::MultiResult faulty = mp::shard::ShardedScheduler(ts, so).run();
-  expect_same_verdicts(clean, faulty, "sharded", target);
-  EXPECT_EQ(faulty.per_property[target].verdict, mp::PropertyVerdict::Unknown);
-  expect_holds_certify(ts, faulty);
+    mp::shard::ShardedOptions so = base;
+    so.base.engine.fault_plan =
+        "ic3.consecution@1+:prop=" + std::to_string(target);
+    mp::MultiResult faulty = mp::shard::ShardedScheduler(ts, so).run();
+    expect_same_verdicts(clean, faulty, "sharded", target);
+    EXPECT_EQ(faulty.per_property[target].verdict,
+              mp::PropertyVerdict::Unknown)
+        << "seed " << seed << " P" << target;
+    expect_holds_certify(ts, faulty);
+    return;
+  }
+  FAIL() << "no design with a holding property that needs a consecution query";
 }
 
 TEST(FaultMatrix, TaskStallDelaysButDoesNotChangeVerdicts) {

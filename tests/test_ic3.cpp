@@ -3,10 +3,13 @@
 // clause seeding, lifting modes, and the frames metric.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "aig/builder.h"
 #include "cnf/tseitin.h"
 #include "gen/counter.h"
 #include "ic3/ic3.h"
+#include "ref/explicit_checker.h"
 #include "ts/trace.h"
 #include "test_util.h"
 
@@ -219,6 +222,39 @@ TEST(Ic3, DesignConstraintBlocksCex) {
   Ic3Result r = engine.run();
   EXPECT_EQ(r.status, CheckStatus::Holds);
   testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
+}
+
+TEST(Ic3, LiftedBadCubeKeepsTheConstraintLiterals) {
+  // The constraint c ∨ d is false in the only initial state, so no trace
+  // exists and the property holds. Neither c nor d alone is inductive, so
+  // mining cannot hide the constraint: a bad cube lifted with it as a unit
+  // drops c and d, meets I, and yields a counterexample that violates it.
+  aig::Aig aig;
+  aig::Lit x = aig.add_input();
+  aig::Lit p = aig.add_latch(Ternary::True);
+  aig::Lit c = aig.add_latch(Ternary::False);
+  aig::Lit d = aig.add_latch(Ternary::False);
+  aig.set_latch_next(p, p);
+  aig.set_latch_next(c, d);
+  aig.set_latch_next(d, c);
+  aig.add_property(~aig.add_and(p, ~x), "p_implies_x");
+  aig.add_constraint(~aig.add_and(~c, ~d));
+  ts::TransitionSystem ts(aig);
+  ASSERT_FALSE(ref::explicit_check(ts).fails_globally(0));
+  for (Ic3SolverMode mode : {Ic3SolverMode::Monolithic,
+                             Ic3SolverMode::PerFrame}) {
+    Ic3Options opts;
+    opts.solver_mode = mode;
+    Ic3 engine(ts, 0, opts);
+    Ic3Result r = engine.run();
+    EXPECT_EQ(r.status, CheckStatus::Holds);
+    testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
+  }
+
+  // A context that asserts the constraints as units refuses to lift.
+  FrameSolver with_units(ts, FrameSolver::Config{});
+  EXPECT_THROW(with_units.lift_bad({true, true, false}, {false}),
+               std::logic_error);
 }
 
 TEST(Ic3, XResetLatchFreeInitialValue) {

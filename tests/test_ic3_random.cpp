@@ -1,9 +1,14 @@
 // Property-based cross-check of IC3 against the explicit-state reference
 // on random small designs: global status, local status (both lifting
-// modes), CEX validity, and invariant validity.
+// modes), CEX validity, invariant validity, and the soundness of the
+// singleton-mining simulation sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "base/rng.h"
 #include "gen/random_design.h"
+#include "ic3/frames.h"
 #include "ic3/ic3.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
@@ -125,6 +130,106 @@ TEST_P(Ic3RandomTest, LocalStatusMatchesReferenceRespectingLifting) {
     } else {
       ASSERT_EQ(r.status, CheckStatus::Holds)
           << "seed " << GetParam() + 20000 << " prop " << p;
+    }
+  }
+}
+
+// A random design with X resets plus one design constraint forbidding a
+// random pair of latch/input values, so the sweep's kill rule meets both.
+aig::Aig constrained_design(std::uint64_t seed) {
+  gen::RandomDesignSpec spec;
+  spec.seed = seed;
+  spec.num_latches = 5;
+  spec.num_inputs = 2;
+  spec.num_ands = 24;
+  spec.num_properties = 3;
+  spec.allow_x_reset = true;
+  aig::Aig aig = gen::make_random_design(spec);
+  std::vector<aig::Var> leaves;
+  for (const aig::Latch& l : aig.latches()) leaves.push_back(l.var);
+  for (aig::Var v : aig.inputs()) leaves.push_back(v);
+  Rng rng(seed * 31 + 7);
+  auto random_leaf = [&] {
+    const aig::Var v = leaves[rng.below(leaves.size())];
+    return aig::Lit::make(v, rng.chance(1, 2));
+  };
+  const aig::Lit a = random_leaf();
+  const aig::Lit b = random_leaf();
+  aig.add_constraint(~aig.add_and(a, b));
+  return aig;
+}
+
+TEST_P(Ic3RandomTest, MiningSweepSettlesOnlyNonInductiveLiterals) {
+  const std::uint64_t seed = GetParam() + 30000;
+  aig::Aig aig = constrained_design(seed);
+  ts::TransitionSystem ts(aig);
+  const ref::ExplicitResult expected = ref::explicit_check(ts);
+
+  std::vector<ts::StateLit> candidates;
+  for (std::size_t i = 0; i < ts.num_latches(); ++i) {
+    for (bool value : {false, true}) {
+      ts::StateLit lit{static_cast<int>(i), value};
+      if (ts.cube_disjoint_from_init({lit})) candidates.push_back(lit);
+    }
+  }
+
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    std::vector<std::size_t> local;
+    for (std::size_t j = 0; j < ts.num_properties(); ++j) {
+      if (j != p) local.push_back(j);
+    }
+    for (const std::vector<std::size_t>& assumed : {std::vector<std::size_t>{},
+                                                     local}) {
+      const std::string tag = "seed " + std::to_string(seed) + " prop " +
+                              std::to_string(p) + " assumed " +
+                              std::to_string(assumed.size());
+      Ic3Options opts;
+      opts.assumed = assumed;
+      opts.lifting_respects_constraints = true;  // no spurious local CEXs
+      opts.time_limit_seconds = 30.0;
+      Ic3 engine(ts, p, opts);
+      Ic3Result r = engine.run();
+      const bool fails = assumed.empty() ? expected.fails_globally(p)
+                                         : expected.fails_locally(p);
+      ASSERT_EQ(r.status, fails ? CheckStatus::Fails : CheckStatus::Holds)
+          << tag;
+      if (fails) {
+        EXPECT_TRUE(ts::is_local_cex(ts, r.cex, p, assumed)) << tag;
+      } else {
+        testutil::expect_valid_invariant(ts, p, assumed, r.invariant);
+      }
+
+      // A fresh engine mines over the same candidates (no seeds), so its
+      // settled count is this sweep's.
+      const std::vector<char> settled =
+          settle_by_simulation(ts, p, assumed, candidates);
+      EXPECT_EQ(r.stats.mining_sim_settled,
+                static_cast<std::uint64_t>(
+                    std::count(settled.begin(), settled.end(), 1)))
+          << tag;
+
+      // Every settled literal's F_inf consecution query answers Sat, with
+      // F_inf empty and, for a proof, with F_inf = the whole invariant.
+      FrameSolver::Config config;
+      config.target_prop = p;
+      config.assumed = assumed;
+      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+        if (!settled[ci]) continue;
+        const ts::Cube c{candidates[ci]};
+        FrameSolver fresh(ts, config);
+        EXPECT_EQ(fresh.query_consecution(c, /*add_negation=*/true, nullptr),
+                  sat::SolveResult::Sat)
+            << tag << " literal " << ts::cube_to_string(c);
+        if (r.status != CheckStatus::Holds) continue;
+        FrameSolver strengthened(ts, config);
+        for (const ts::Cube& inv : r.invariant) {
+          strengthened.add_blocking_clause(inv);
+        }
+        EXPECT_EQ(
+            strengthened.query_consecution(c, /*add_negation=*/true, nullptr),
+            sat::SolveResult::Sat)
+            << tag << " literal " << ts::cube_to_string(c);
+      }
     }
   }
 }

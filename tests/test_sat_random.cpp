@@ -107,6 +107,84 @@ TEST_P(RandomCnfTest, AssumptionCoresAreSound) {
       << "core is not actually contradictory, seed " << GetParam();
 }
 
+// The IC3 usage pattern: one incremental solver, clause groups guarded by
+// activation literals, each group queried under its literal and then
+// retired through the unit ¬act. The level-0 sweep that deletes retired
+// groups is deferred, so this checks both that the answers never depend
+// on when it runs and that it still runs.
+TEST_P(RandomCnfTest, RetiredActivationsAreSweptAndAnswersStayExact) {
+  Rng rng(GetParam() * 131 + 17);
+  const int num_vars = 8 + static_cast<int>(rng.below(5));
+  auto random_lit = [&] {
+    const Var v = static_cast<Var>(rng.below(num_vars));
+    return Lit::make(v, rng.chance(1, 2));
+  };
+  Solver solver;
+  for (int v = 0; v < num_vars; ++v) solver.new_var();
+  std::vector<std::vector<Lit>> all;  // everything added, for ref_dpll
+  // An under-constrained 3-SAT base (ratio 2), so most queries are Sat
+  // and the assumptions decide the Unsat ones.
+  for (int c = 0; c < num_vars * 2; ++c) {
+    all.push_back({random_lit(), random_lit(), random_lit()});
+    solver.add_clause(all.back());
+  }
+
+  bool swept = false;
+  for (int round = 0; round < 60; ++round) {
+    const Lit act = Lit::make(solver.new_var());
+    for (int c = 0; c < 4; ++c) {
+      std::vector<Lit> clause{~act};
+      const int len = 2 + static_cast<int>(rng.below(2));
+      for (int i = 0; i < len; ++i) clause.push_back(random_lit());
+      solver.add_clause(clause);
+      all.push_back(clause);
+    }
+    std::vector<Lit> assumptions{act};
+    for (int v = 0; v < num_vars; ++v) {
+      if (rng.chance(1, 6)) {
+        assumptions.push_back(Lit::make(v, rng.chance(1, 2)));
+      }
+    }
+
+    const std::size_t before = solver.num_problem_clauses();
+    const SolveResult res = solver.solve(assumptions);
+    swept |= solver.num_problem_clauses() < before;
+
+    std::vector<std::vector<Lit>> query = all;
+    for (Lit a : assumptions) query.push_back({a});
+    const auto ref = ref_dpll_solve(solver.num_vars(), query);
+    if (ref.has_value()) {
+      ASSERT_EQ(res, SolveResult::Sat) << "seed " << GetParam() << " round "
+                                       << round;
+      std::vector<bool> model(solver.num_vars());
+      for (int v = 0; v < solver.num_vars(); ++v) {
+        model[v] = solver.model_value(v) == kTrue;
+      }
+      EXPECT_TRUE(ref_check_model(query, model)) << "round " << round;
+    } else {
+      ASSERT_EQ(res, SolveResult::Unsat) << "seed " << GetParam()
+                                         << " round " << round;
+      std::vector<std::vector<Lit>> core_query = all;
+      for (Lit c : solver.conflict_core()) {
+        bool found = false;
+        for (Lit a : assumptions) found |= (a == c);
+        EXPECT_TRUE(found) << "core literal not among assumptions";
+        core_query.push_back({c});
+      }
+      EXPECT_FALSE(ref_dpll_solve(solver.num_vars(), core_query).has_value())
+          << "core is not contradictory, round " << round;
+    }
+
+    solver.add_unit(~act);  // retire the group
+    all.push_back({~act});
+    if (!solver.ok()) break;  // the base formula itself is unsatisfiable
+  }
+  if (solver.ok()) {
+    EXPECT_TRUE(swept) << "no retired group was ever removed, seed "
+                       << GetParam();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnfTest,
                          ::testing::Range<std::uint64_t>(1, 61));
 
