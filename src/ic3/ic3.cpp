@@ -32,6 +32,7 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats) {
   metrics.add("ic3.lemmas_imported", stats.lemmas_imported);
   metrics.add("ic3.lemmas_rejected", stats.lemmas_rejected);
   metrics.add("ic3.lemmas_known", stats.lemmas_known);
+  metrics.add("ic3.lemmas_settled", stats.lemmas_settled);
   metrics.add("sat.propagations", stats.sat_propagations);
   metrics.add("sat.conflicts", stats.sat_conflicts);
   metrics.add("sat.decisions", stats.sat_decisions);
@@ -588,6 +589,12 @@ void Ic3::absorb_lemma_candidates() {
       stats_.lemmas_known++;  // already proven (e.g. via the ClauseDb)
       continue;
     }
+    const bool unit = c.size() == 1;
+    if (unit && unit_settled(c[0])) {
+      stats_.lemmas_rejected++;
+      stats_.lemmas_settled++;
+      continue;
+    }
     if (checked(counted_consecution(prof_consecution_,
                                     &Ic3Stats::consecution_queries, kLevelInf,
                                     c, /*add_negation=*/true, nullptr)) ==
@@ -597,11 +604,13 @@ void Ic3::absorb_lemma_candidates() {
       opts_.trace.instant("ic3", "lemma_install");
     } else {
       stats_.lemmas_rejected++;
+      if (unit) unit_stamp(c[0]) = sat_stamp();
     }
   }
 }
 
 void Ic3::mine_singleton_invariants() {
+  if (unit_stamps_.empty()) unit_stamps_.assign(2 * ts_.num_latches(), 0);
   // Candidates: latch literals that contradict the reset and are not
   // already F_inf clauses, in latch order.
   std::vector<ts::StateLit> candidates;
@@ -626,6 +635,9 @@ void Ic3::mine_singleton_invariants() {
       settle_by_simulation(ts_, target_prop_, opts_.assumed, candidates);
   stats_.mining_sim_settled =
       static_cast<std::uint64_t>(std::count(done.begin(), done.end(), 1));
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+    if (done[ci]) unit_stamp(candidates[ci]) = kLive;
+  }
 
   // A few passes so that mutually dependent singletons (a latch whose
   // inductiveness needs another mined clause) settle; designs rarely need
@@ -643,6 +655,8 @@ void Ic3::mine_singleton_invariants() {
         stats_.mined_invariants++;
         done[ci] = 1;
         changed = true;
+      } else {
+        unit_stamp(candidates[ci]) = sat_stamp();
       }
     }
     if (!changed) break;

@@ -117,6 +117,10 @@ struct Ic3Stats {
   std::uint64_t lemmas_imported = 0;
   std::uint64_t lemmas_rejected = 0;
   std::uint64_t lemmas_known = 0;
+  // Rejected unit candidates settled without a SAT query: their
+  // consecution answer was already known (see Ic3::unit_stamps_). Always
+  // <= lemmas_rejected.
+  std::uint64_t lemmas_settled = 0;
   // Aggregated over every SAT context this run created (including retired
   // and rebuilt ones).
   std::uint64_t sat_propagations = 0;
@@ -334,7 +338,8 @@ class Ic3 {
   // Drains lemma_queue_: re-validates each candidate and installs the
   // survivors at F_inf. Runs after the mining phase so F_inf plumbing
   // exists; on budget expiry the untested remainder is dropped (lemma
-  // traffic is best-effort).
+  // traffic is best-effort). A unit candidate whose stamp already
+  // answers its query (unit_settled) is rejected without one.
   void absorb_lemma_candidates();
   // One-time pass installing every latch literal that contradicts its
   // reset and is one-step inductive relative to the path constraints as
@@ -344,6 +349,20 @@ class Ic3 {
   // failed), which frame-relative generalization discovers only slowly.
   // Candidates settled by settle_by_simulation are skipped without a query.
   void mine_singleton_invariants();
+  // unit_stamps_ slot of a singleton cube {l}.
+  std::uint32_t& unit_stamp(const ts::StateLit& l) {
+    return unit_stamps_[2 * static_cast<std::size_t>(l.latch) +
+                        (l.value ? 1 : 0)];
+  }
+  // The stamp of a Sat F_inf query on a singleton made now.
+  std::uint32_t sat_stamp() const {
+    return static_cast<std::uint32_t>(inf_cubes_.size()) + 1;
+  }
+  // True when {l}'s F_inf consecution query is known to answer Sat.
+  bool unit_settled(const ts::StateLit& l) {
+    const std::uint32_t s = unit_stamp(l);
+    return s == kLive || s == sat_stamp();
+  }
   void propagate_and_check_fixpoint();
   sat::SolveResult checked(sat::SolveResult r) const;
 
@@ -391,6 +410,18 @@ class Ic3 {
   std::vector<std::vector<ts::Cube>> frame_cubes_;  // delta encoding
   std::vector<ts::Cube> inf_cubes_;  // F_inf: seeds + globally inductive
   std::vector<ts::Cube> lemma_queue_;   // candidates pending re-validation
+  // What is known about the F_inf consecution query of each singleton
+  // cube {l}, indexed by 2·latch + value (sized by the mining phase):
+  //   kLive  the mining sweep saw l on a live path: Sat under every F_inf;
+  //   g + 1  the query answered Sat while inf_cubes_.size() == g;
+  //   0      nothing known.
+  // A g + 1 stamp stays exact while the size is still g: F_inf queries
+  // see only the F_inf clauses and the path constraints, the constraints
+  // are fixed for the engine's life, and after seed validation
+  // inf_cubes_ only grows (add_inf_cube appends, nothing erases), so an
+  // equal size means the same formula and hence the same answer.
+  static constexpr std::uint32_t kLive = ~std::uint32_t{0};
+  std::vector<std::uint32_t> unit_stamps_;
   std::size_t inf_exported_ = 0;  // take_new_inf_lemmas cursor
 
   std::vector<Obligation> pool_;

@@ -160,6 +160,7 @@ void PropertyTask::close_holds(std::vector<ts::Cube> invariant,
       !result_.invariant.empty()) {
     db->add(result_.invariant);
   }
+  release_engine();
   fold_final_metrics();
   publish_state();
 }
@@ -170,8 +171,14 @@ void PropertyTask::finish_fails(ts::Trace cex) {
   result_.verdict = local_mode_ ? PropertyVerdict::FailsLocally
                                 : PropertyVerdict::FailsGlobally;
   result_.cex = std::move(cex);
+  release_engine();
   fold_final_metrics();
   publish_state();
+}
+
+void PropertyTask::release_engine() {
+  engine_.reset();
+  seeds_.reset();
 }
 
 void PropertyTask::fold_final_metrics() {
@@ -215,6 +222,7 @@ void PropertyTask::close_unknown() {
   state_ = TaskState::Unknown;
   slice_scale_ = 1.0;
   result_.verdict = PropertyVerdict::Unknown;
+  release_engine();
   fold_final_metrics();
   publish_state();
 }

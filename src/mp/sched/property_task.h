@@ -12,7 +12,16 @@
 // round-robin them over many open properties instead of burning a full
 // one-shot timeout on the first hard one. The §7-A spurious-counterexample
 // strict-lifting retry lives here too: a spurious local CEX discards the
-// engine and restarts with lifting that respects the constraints.
+// engine and restarts with lifting that respects the constraints. Every
+// close path frees the engine (its SAT contexts) and the seed snapshot;
+// the result row keeps the final engine's stats.
+//
+// A task is not thread-safe: the schedulers touch each task from one
+// thread at a time. Slices run on pool workers; resolve_fails runs from a
+// BMC sweep (Scheduler: on the caller thread between pool rounds;
+// ShardedScheduler: on the pass-1 worker of the task's own shard, and the
+// pool.run barrier separates pass 1 from the pass-2 slices), or from the
+// prefilter kill routing and the final close_unknown on the caller thread.
 //
 // Verdicts can also be injected from outside the IC3 engine — the hybrid
 // policy resolves shallow failures with shared BMC sweeps and calls
@@ -113,6 +122,9 @@ class PropertyTask {
     return state_ == TaskState::Pending || state_ == TaskState::Running;
   }
   const std::vector<std::size_t>& assumed() const { return assumed_; }
+  // True while the task holds an IC3 engine: from the first slice until
+  // it closes (or a retry discards the engine).
+  bool has_engine() const { return engine_ != nullptr; }
 
   // Subscribes this task to `shard`'s channel on `bus` (the sharded
   // scheduler's lemma exchange): every slice first feeds newly published
@@ -169,6 +181,8 @@ class PropertyTask {
   void publish_state();
   void close_holds(std::vector<ts::Cube> invariant, ClauseDb* db);
   void finish_fails(ts::Trace cex);
+  // Frees the engine and the seed snapshot; every close path calls it.
+  void release_engine();
   // Folds the final engine's Ic3Stats into EngineOptions::metrics, once
   // per task lifetime. Every close path funnels through this, which is
   // what makes the registry totals reconcile exactly with the summed

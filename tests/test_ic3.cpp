@@ -257,6 +257,45 @@ TEST(Ic3, LiftedBadCubeKeepsTheConstraintLiterals) {
                std::logic_error);
 }
 
+TEST(Ic3, DeliveredUnitIsRequeriedOnceFinfGrows) {
+  // b' = i and c' = ¬i, so ¬(b ∧ c) is inductive; a' = a ∨ (b ∧ c), so
+  // ¬a is inductive relative to ¬(b ∧ c) but not alone. Mining queries
+  // {a} while F_inf is empty (Sat) and the simulation sweep sees b and c.
+  // The first delivery of {a} is therefore settled without a query; once
+  // the two-literal lemma {b, c} lands, the same unit must be queried
+  // again and imported.
+  aig::Aig aig;
+  aig::Lit i = aig.add_input();
+  aig::Lit a = aig.add_latch(Ternary::False);
+  aig::Lit b = aig.add_latch(Ternary::False);
+  aig::Lit c = aig.add_latch(Ternary::False);
+  aig.set_latch_next(a, ~aig.add_and(~a, ~aig.add_and(b, c)));
+  aig.set_latch_next(b, i);
+  aig.set_latch_next(c, ~i);
+  aig.add_property(~a, "a_stays_low");
+  ts::TransitionSystem ts(aig);
+  const ts::Cube unit_a{ts::StateLit{0, true}};
+  const ts::Cube pair_bc{ts::StateLit{1, true}, ts::StateLit{2, true}};
+  for (Ic3SolverMode mode : {Ic3SolverMode::Monolithic,
+                             Ic3SolverMode::PerFrame}) {
+    Ic3Options opts;
+    opts.solver_mode = mode;
+    Ic3 engine(ts, 0, opts);
+    engine.add_lemma_candidates({unit_a, pair_bc, unit_a});
+    Ic3Result r = engine.run();
+    ASSERT_EQ(r.status, CheckStatus::Holds);
+    testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
+    EXPECT_EQ(r.stats.mined_invariants, 0u);
+    EXPECT_EQ(r.stats.lemmas_imported, 2u);
+    EXPECT_EQ(r.stats.lemmas_rejected, 1u);
+    EXPECT_EQ(r.stats.lemmas_settled, 1u);
+    // One mining query on {a}, then one each for {b, c} and the second {a}.
+    EXPECT_EQ(r.stats.consecution_queries, 3u);
+    EXPECT_EQ(engine.take_new_inf_lemmas(),
+              (std::vector<ts::Cube>{pair_bc, unit_a}));
+  }
+}
+
 TEST(Ic3, XResetLatchFreeInitialValue) {
   aig::Aig aig;
   aig::Lit l = aig.add_latch(Ternary::X);

@@ -1,7 +1,8 @@
 // Property-based cross-check of IC3 against the explicit-state reference
 // on random small designs: global status, local status (both lifting
-// modes), CEX validity, invariant validity, and the soundness of the
-// singleton-mining simulation sweep.
+// modes), CEX validity, invariant validity, the soundness of the
+// singleton-mining simulation sweep, and the exactness of settling
+// delivered lemma units without a query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,12 +137,13 @@ TEST_P(Ic3RandomTest, LocalStatusMatchesReferenceRespectingLifting) {
 
 // A random design with X resets plus one design constraint forbidding a
 // random pair of latch/input values, so the sweep's kill rule meets both.
-aig::Aig constrained_design(std::uint64_t seed) {
+aig::Aig constrained_design(std::uint64_t seed, std::size_t latches = 5,
+                            std::size_t ands = 24) {
   gen::RandomDesignSpec spec;
   spec.seed = seed;
-  spec.num_latches = 5;
+  spec.num_latches = latches;
   spec.num_inputs = 2;
-  spec.num_ands = 24;
+  spec.num_ands = ands;
   spec.num_properties = 3;
   spec.allow_x_reset = true;
   aig::Aig aig = gen::make_random_design(spec);
@@ -232,6 +234,160 @@ TEST_P(Ic3RandomTest, MiningSweepSettlesOnlyNonInductiveLiterals) {
       }
     }
   }
+}
+
+// Ic3::absorb_lemma_candidates replayed query by query on fresh F_inf
+// contexts: the imported/rejected/known split a batch must get when F_inf
+// is `inf` at its start. Imported cubes are appended to `inf` in order.
+struct AbsorbSplit {
+  std::uint64_t imported = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t known = 0;
+};
+
+AbsorbSplit replay_absorb(const ts::TransitionSystem& ts,
+                          const FrameSolver::Config& config,
+                          const std::vector<ts::Cube>& batch,
+                          std::vector<ts::Cube>& inf) {
+  AbsorbSplit split;
+  for (const ts::Cube& c : batch) {
+    if (!ts.cube_disjoint_from_init(c)) {
+      split.rejected++;
+      continue;
+    }
+    if (std::any_of(inf.begin(), inf.end(), [&](const ts::Cube& have) {
+          return ts::cube_subsumes(have, c);
+        })) {
+      split.known++;
+      continue;
+    }
+    FrameSolver fresh(ts, config);
+    for (const ts::Cube& have : inf) fresh.add_blocking_clause(have);
+    if (fresh.query_consecution(c, /*add_negation=*/true, nullptr) ==
+        sat::SolveResult::Unsat) {
+      inf.push_back(c);
+      split.imported++;
+    } else {
+      split.rejected++;
+    }
+  }
+  return split;
+}
+
+std::uint64_t lemma_total(const Ic3Stats& s) {
+  return s.lemmas_imported + s.lemmas_rejected + s.lemmas_known;
+}
+
+// Delivers every init-disjoint unit before the first slice and again after
+// each slice that grew F_inf, and checks each batch's split against a fresh
+// replay over F_inf rebuilt from take_new_inf_lemmas. The conflict slice
+// starts at one and grows by one per slice: tiny slices maximise the number
+// of batches, and the growth guarantees the run converges.
+void check_delivered_units(std::uint64_t seed, std::size_t latches,
+                           std::size_t ands) {
+  aig::Aig aig = constrained_design(seed, latches, ands);
+  ts::TransitionSystem ts(aig);
+
+  std::vector<ts::Cube> units;
+  for (std::size_t i = 0; i < ts.num_latches(); ++i) {
+    for (bool value : {false, true}) {
+      ts::Cube c{ts::StateLit{static_cast<int>(i), value}};
+      if (ts.cube_disjoint_from_init(c)) units.push_back(c);
+    }
+  }
+  if (units.empty()) return;  // every latch resets to X
+  const ref::ExplicitResult expected = ref::explicit_check(ts);
+
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    std::vector<std::size_t> local;
+    for (std::size_t j = 0; j < ts.num_properties(); ++j) {
+      if (j != p) local.push_back(j);
+    }
+    for (const std::vector<std::size_t>& assumed : {std::vector<std::size_t>{},
+                                                     local}) {
+      const std::string tag = "seed " + std::to_string(seed) + " latches " +
+                              std::to_string(latches) + " prop " +
+                              std::to_string(p) + " assumed " +
+                              std::to_string(assumed.size());
+      Ic3Options opts;
+      opts.assumed = assumed;
+      opts.lifting_respects_constraints = true;
+      Ic3 engine(ts, p, opts);
+      FrameSolver::Config config;
+      config.target_prop = p;
+      config.assumed = assumed;
+
+      // Conflict slices never suspend inside the absorb loop, so each
+      // batch is absorbed whole at the start of one slice, right after
+      // whatever mining that slice finishes.
+      Ic3Budget budget;
+      budget.conflict_slice = 1;
+      std::vector<ts::Cube> inf;  // F_inf, rebuilt from the exports
+      Ic3Stats prev;
+      bool pending = true;
+      int batches = 0;
+      engine.add_lemma_candidates(units);
+      Ic3Result r;
+      int slices = 0;
+      do {
+        r = engine.run(budget);
+        ASSERT_LT(++slices, 100000) << tag;
+        budget.conflict_slice++;
+        const std::vector<ts::Cube> fresh = engine.take_new_inf_lemmas();
+        if (pending && lemma_total(r.stats) != lemma_total(prev)) {
+          // The slice's exports: its mined cubes, the batch's imports,
+          // then the main loop's cubes.
+          const std::size_t mined =
+              r.stats.mined_invariants - prev.mined_invariants;
+          ASSERT_LE(mined, fresh.size()) << tag;
+          std::vector<ts::Cube> at_absorb = inf;
+          at_absorb.insert(at_absorb.end(), fresh.begin(),
+                           fresh.begin() + static_cast<long>(mined));
+          const std::size_t start = at_absorb.size();
+          const AbsorbSplit want = replay_absorb(ts, config, units, at_absorb);
+          const std::string btag = tag + " batch " + std::to_string(batches);
+          EXPECT_EQ(r.stats.lemmas_imported - prev.lemmas_imported,
+                    want.imported)
+              << btag;
+          EXPECT_EQ(r.stats.lemmas_rejected - prev.lemmas_rejected,
+                    want.rejected)
+              << btag;
+          EXPECT_EQ(r.stats.lemmas_known - prev.lemmas_known, want.known)
+              << btag;
+          ASSERT_LE(at_absorb.size() - start, fresh.size() - mined) << btag;
+          EXPECT_TRUE(std::equal(at_absorb.begin() + static_cast<long>(start),
+                                 at_absorb.end(),
+                                 fresh.begin() + static_cast<long>(mined)))
+              << btag << ": imports differ from the replay's";
+          pending = false;
+          batches++;
+        }
+        EXPECT_LE(r.stats.lemmas_settled, r.stats.lemmas_rejected) << tag;
+        inf.insert(inf.end(), fresh.begin(), fresh.end());
+        prev = r.stats;
+        if (!pending && !fresh.empty() && batches < 20 &&
+            r.status == CheckStatus::Unknown && r.resumable) {
+          engine.add_lemma_candidates(units);
+          pending = true;
+        }
+      } while (r.status == CheckStatus::Unknown && r.resumable);
+
+      const bool fails = assumed.empty() ? expected.fails_globally(p)
+                                         : expected.fails_locally(p);
+      EXPECT_EQ(r.status, fails ? CheckStatus::Fails : CheckStatus::Holds)
+          << tag;
+      EXPECT_FALSE(pending) << tag << ": a delivered batch was never absorbed";
+    }
+  }
+}
+
+// Delivered units are settled without a query when their answer is
+// already known (Ic3::unit_stamps_). That must never change a batch's
+// outcome, on random designs with constraints and X resets, under a
+// global and a JA-local assumed set.
+TEST_P(Ic3RandomTest, DeliveredUnitsSplitLikeAFreshReplay) {
+  check_delivered_units(GetParam() + 40000, 5, 24);
+  check_delivered_units(GetParam() + 40000, 10, 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ic3RandomTest,

@@ -353,6 +353,10 @@ void expect_exact_reconciliation(const mp::MultiResult& r) {
             summed(r, &ic3::Ic3Stats::lemmas_rejected));
   EXPECT_EQ(m.counter("ic3.lemmas_known"),
             summed(r, &ic3::Ic3Stats::lemmas_known));
+  EXPECT_EQ(m.counter("ic3.lemmas_settled"),
+            summed(r, &ic3::Ic3Stats::lemmas_settled));
+  EXPECT_LE(m.counter("ic3.lemmas_settled"),
+            m.counter("ic3.lemmas_rejected"));
   EXPECT_EQ(m.counter("sat.propagations"),
             summed(r, &ic3::Ic3Stats::sat_propagations));
   EXPECT_EQ(m.counter("sat.conflicts"), summed(r, &ic3::Ic3Stats::sat_conflicts));

@@ -304,11 +304,18 @@ TEST(ProfileEndToEnd, ShardedRunTagsSlotsPerShardAndReconciles) {
   so.base.engine.profiler = &profiler;
   so.clustering.min_similarity = 0.3;
   so.clustering.max_cluster_size = 2;
+  ASSERT_EQ(so.exchange, mp::exchange::ExchangeMode::Units);
   mp::shard::ShardedScheduler sched(ts, so);
   mp::MultiResult r = sched.run();
   ASSERT_GE(sched.num_shards(), 2u);
 
+  // Delivered units settled without a query are rejections that never
+  // reach the profiler, so the consecution samples still equal the
+  // counted queries.
   expect_profile_reconciles(profiler, r);
+  const std::uint64_t settled = summed(r, &ic3::Ic3Stats::lemmas_settled);
+  EXPECT_GT(settled, 0u);
+  EXPECT_LE(settled, summed(r, &ic3::Ic3Stats::lemmas_rejected));
 
   // Every IC3 slot carries a valid shard tag.
   bool saw_ic3_slot = false;

@@ -2,14 +2,18 @@
 // the explicit-state oracle (and hence the legacy verifiers, which are now
 // thin presets over the scheduler), plus IC3 suspend/resume — a
 // budget-sliced run must reach the same verdict and a certifiable
-// strengthening as a one-shot run.
+// strengthening as a one-shot run — and PropertyTask's engine lifetime:
+// every close path frees the engine and keeps the result row intact.
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "gen/counter.h"
 #include "gen/random_design.h"
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
+#include "mp/sched/property_task.h"
 #include "mp/sched/scheduler.h"
+#include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
 #include "ts/trace.h"
@@ -280,6 +284,130 @@ TEST(SuspendResume, HardLimitIsNotResumable) {
   ic3::Ic3Result r = engine.run(ic3::Ic3Budget{});
   EXPECT_EQ(r.status, CheckStatus::Unknown);
   EXPECT_FALSE(r.resumable);
+}
+
+// --- PropertyTask engine lifetime --------------------------------------------
+
+// The registry is folded once at close from the result row, after the
+// engine is gone: it must carry exactly the final engine's stats.
+void expect_folded_once(obs::MetricsRegistry& metrics,
+                        const PropertyResult& pr) {
+  const obs::MetricsSnapshot m = metrics.snapshot();
+  EXPECT_EQ(m.counter("task.closed"), 1u);
+  EXPECT_EQ(m.counter("ic3.consecution_queries"),
+            pr.engine_stats.consecution_queries);
+  EXPECT_EQ(m.counter("ic3.bad_queries"), pr.engine_stats.bad_queries);
+  EXPECT_EQ(m.counter("ic3.clauses_added"), pr.engine_stats.clauses_added);
+  EXPECT_EQ(m.counter("sat.propagations"), pr.engine_stats.sat_propagations);
+}
+
+// A bare engine with the options a default-configured task builds; the
+// task's unbudgeted slice must report exactly its stats.
+void expect_same_stats_as_bare_engine(const ts::TransitionSystem& ts,
+                                      std::size_t prop,
+                                      const PropertyResult& pr) {
+  ic3::Ic3Result bare = ic3::Ic3(ts, prop).run();
+  EXPECT_EQ(pr.engine_stats.consecution_queries,
+            bare.stats.consecution_queries);
+  EXPECT_EQ(pr.engine_stats.bad_queries, bare.stats.bad_queries);
+  EXPECT_EQ(pr.engine_stats.lift_queries, bare.stats.lift_queries);
+  EXPECT_EQ(pr.engine_stats.clauses_added, bare.stats.clauses_added);
+  EXPECT_EQ(pr.engine_stats.sat_propagations, bare.stats.sat_propagations);
+  EXPECT_EQ(pr.engine_stats.sat_conflicts, bare.stats.sat_conflicts);
+  EXPECT_EQ(pr.frames, bare.frames);
+}
+
+TEST(TaskLifetime, HoldsFromASliceFreesTheEngine) {
+  aig::Aig aig = gen::make_counter({.bits = 6, .buggy = false});
+  ts::TransitionSystem ts(aig);
+  obs::MetricsRegistry metrics;
+  EngineOptions engine;
+  engine.metrics = &metrics;
+  PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
+  EXPECT_FALSE(task.has_engine());
+  task.run_slice(TaskBudget{}, nullptr);
+  ASSERT_EQ(task.state(), TaskState::Holds);
+  EXPECT_FALSE(task.has_engine());
+  const PropertyResult& pr = task.result();
+  EXPECT_EQ(pr.verdict, PropertyVerdict::HoldsGlobally);
+  EXPECT_FALSE(pr.invariant.empty());
+  testutil::expect_valid_invariant(ts, 1, {}, pr.invariant);
+  expect_same_stats_as_bare_engine(ts, 1, pr);
+  expect_folded_once(metrics, pr);
+}
+
+TEST(TaskLifetime, FailsFromASliceFreesTheEngine) {
+  aig::Aig aig = gen::make_counter({.bits = 4, .buggy = true});
+  ts::TransitionSystem ts(aig);
+  obs::MetricsRegistry metrics;
+  EngineOptions engine;
+  engine.metrics = &metrics;
+  PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
+  task.run_slice(TaskBudget{}, nullptr);
+  ASSERT_EQ(task.state(), TaskState::Fails);
+  EXPECT_FALSE(task.has_engine());
+  const PropertyResult& pr = task.result();
+  EXPECT_EQ(pr.verdict, PropertyVerdict::FailsGlobally);
+  EXPECT_TRUE(ts::is_global_cex(ts, pr.cex, 1));
+  expect_same_stats_as_bare_engine(ts, 1, pr);
+  expect_folded_once(metrics, pr);
+}
+
+// Closes from outside a slice: the task is mid-proof (engine live) when
+// the BMC sweep or the scheduler's budget closes it.
+TEST(TaskLifetime, ExternalClosesFreeTheEngine) {
+  aig::Aig aig = gen::make_counter({.bits = 8, .buggy = false});
+  ts::TransitionSystem ts(aig);
+  TaskBudget budget;
+  budget.conflicts = 4;
+  for (bool by_bmc : {true, false}) {
+    obs::MetricsRegistry metrics;
+    EngineOptions engine;
+    engine.metrics = &metrics;
+    PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
+    task.run_slice(budget, nullptr);
+    ASSERT_TRUE(task.open());
+    EXPECT_TRUE(task.has_engine());
+    const ic3::Ic3Stats open_stats = task.result().engine_stats;
+    if (by_bmc) {
+      task.resolve_fails(ts::Trace{}, 3);
+      EXPECT_EQ(task.result().verdict, PropertyVerdict::FailsGlobally);
+      EXPECT_EQ(task.result().frames, 3);
+    } else {
+      task.close_unknown();
+      EXPECT_EQ(task.result().verdict, PropertyVerdict::Unknown);
+    }
+    EXPECT_FALSE(task.has_engine()) << (by_bmc ? "resolve_fails" : "unknown");
+    // The row keeps the last slice's stats.
+    EXPECT_EQ(task.result().engine_stats.bad_queries, open_stats.bad_queries);
+    EXPECT_EQ(task.result().engine_stats.sat_propagations,
+              open_stats.sat_propagations);
+    EXPECT_GT(open_stats.bad_queries, 0u);
+    expect_folded_once(metrics, task.result());
+  }
+}
+
+TEST(TaskLifetime, ExhaustedRetryLadderFreesTheEngine) {
+  aig::Aig aig = gen::make_counter({.bits = 6, .buggy = false});
+  ts::TransitionSystem ts(aig);
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("ic3.consecution@1+"));
+  fault::ScopedInjection scope(&injector);
+  ASSERT_TRUE(scope.installed());
+  obs::MetricsRegistry metrics;
+  EngineOptions engine;
+  engine.metrics = &metrics;
+  PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
+  int guard = 0;
+  while (task.open()) {
+    task.run_slice(TaskBudget{}, nullptr);
+    ASSERT_LT(++guard, 100) << "the retry ladder never ran out";
+  }
+  EXPECT_EQ(task.state(), TaskState::Unknown);
+  EXPECT_EQ(task.result().retries, engine.max_task_retries);
+  EXPECT_FALSE(task.has_engine());
+  EXPECT_EQ(metrics.snapshot().counter("retry.exhausted"), 1u);
+  expect_folded_once(metrics, task.result());
 }
 
 }  // namespace
