@@ -187,8 +187,8 @@ void fire_point(FaultInjector& injector, const char* site);
 }  // namespace detail
 
 // Installs `injector` into the global slot for its lifetime. First
-// wins: if another injection scope is already active (e.g. a nested
-// scheduler inside an injected sharded run), this scope is a no-op and
+// wins: if another injection scope is already active (e.g. a test's own
+// scope around an injected scheduler run), this scope is a no-op and
 // installed() is false.
 class ScopedInjection {
  public:

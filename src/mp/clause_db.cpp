@@ -87,15 +87,6 @@ std::size_t ShardedClauseDb::seed_all(const std::vector<ts::Cube>& cubes) {
   return added;
 }
 
-std::size_t ShardedClauseDb::import_shard(std::size_t i,
-                                          const std::vector<ts::Cube>& cubes) {
-  return shards_.at(i)->add(cubes);
-}
-
-std::vector<ts::Cube> ShardedClauseDb::shard_snapshot(std::size_t i) const {
-  return shards_.at(i)->snapshot();
-}
-
 std::vector<ts::Cube> ShardedClauseDb::merged_snapshot() const {
   std::set<ts::Cube> merged;
   for (const auto& shard : shards_) {

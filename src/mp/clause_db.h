@@ -71,14 +71,6 @@ class ShardedClauseDb {
   // number of insertions across shards.
   std::size_t seed_all(const std::vector<ts::Cube>& cubes);
 
-  // Warm-start plumbing (src/persist): bulk-imports a prior run's shard
-  // snapshot into shard `i` (before its tasks first seed from it);
-  // returns how many cubes were new. Imported cubes are candidates only —
-  // consumers re-validate them like any other seed.
-  std::size_t import_shard(std::size_t i, const std::vector<ts::Cube>& cubes);
-  // The cube set shard `i` currently holds (persisted at end of run).
-  std::vector<ts::Cube> shard_snapshot(std::size_t i) const;
-
   // Union of all shards' cubes.
   std::vector<ts::Cube> merged_snapshot() const;
   std::size_t total_size() const;

@@ -12,9 +12,9 @@
 namespace javer::mp::sched {
 
 BmcSweep::BmcSweep(const ts::TransitionSystem& ts,
-                   const SchedulerOptions& opts, bool local_mode)
-    : ts_(ts), opts_(opts), local_mode_(local_mode), bmc_(ts) {
-  if (local_mode) {
+                   const SchedulerOptions& opts, int shard)
+    : ts_(ts), opts_(opts), bmc_(ts), trace_shard_(shard) {
+  if (opts.proof_mode == ProofMode::Local) {
     // Every ETH property is assumed on non-final steps; a failure found
     // at the final bound is therefore a first failure (a local CEX).
     for (std::size_t j = 0; j < ts.num_properties(); ++j) {
@@ -71,7 +71,7 @@ std::size_t BmcSweep::process_seeds(std::vector<PropertyTask*>& by_prop) {
                             seed.prefix.steps.end() - 1);
       for (ts::Step& s : br.cex.steps) stitched.steps.push_back(std::move(s));
       const bool ok =
-          local_mode_
+          opts_.proof_mode == ProofMode::Local
               ? ts::is_local_cex(ts_, stitched, seed.prop, task->assumed())
               : ts::is_global_cex(ts_, stitched, seed.prop);
       if (ok) {

@@ -1,8 +1,9 @@
-// BmcSweep: the shared BMC falsification state living across a policy's
-// rounds — one incremental unrolling, extended window by window, with the
-// "just assume" constraints asserted on every completed bound. Extracted
-// from the Scheduler's hybrid policy so the sharded scheduler (mp/shard)
-// can run one sweep per cluster shard; it is also the BMC endpoint of the
+// BmcSweep: one shard's shared BMC falsification state living across the
+// hybrid policy's rounds — one incremental unrolling, extended window by
+// window, with the "just assume" constraints asserted on every completed
+// bound. The Scheduler owns one sweep per shard of its partition (a single
+// untagged sweep for the trivial partition) and runs them in the first
+// pool pass of each round. A sweep is also the BMC endpoint of the
 // cross-engine lemma exchange (mp/exchange): learned prefix units flow
 // out as candidates, proven IC3 strengthenings flow back in as permanent
 // unrolling clauses.
@@ -25,12 +26,14 @@ namespace javer::mp::sched {
 
 class BmcSweep {
  public:
-  // `local_mode` selects the "just assume" prefix set: every non-ETF
-  // property for local proofs (a failure found at the final bound is then
-  // a first failure, i.e. a local CEX), empty for global proofs. Only the
-  // hybrid knobs of `opts` are read.
+  // The proof mode of `opts` selects the "just assume" prefix set: every
+  // non-ETF property for local proofs (a failure found at the final bound
+  // is then a first failure, i.e. a local CEX), empty for global proofs.
+  // Besides the proof mode only the hybrid knobs and the engine options
+  // of `opts` are read. `shard` tags the sweep's trace events, profile
+  // slots and progress cell (src/obs); -1 = unsharded.
   BmcSweep(const ts::TransitionSystem& ts, const SchedulerOptions& opts,
-           bool local_mode);
+           int shard);
 
   // One falsification window over the open tasks (closed ones are
   // skipped); resolves every task that fails inside the window and
@@ -61,10 +64,6 @@ class BmcSweep {
   // that before calling. No-op once the sweep is exhausted.
   std::size_t install_invariant_cubes(const std::vector<ts::Cube>& cubes);
 
-  // Shard tag for this sweep's trace events and counters (src/obs); -1 =
-  // unsharded. The tracer/metrics handles come from the engine options.
-  void set_trace_shard(int shard) { trace_shard_ = shard; }
-
   // --- near-miss prefix seeding (mp/simfilter, Full mode) ---
 
   // Queues "just assume" prefix seeds for the next sweep() call. Each seed
@@ -82,12 +81,11 @@ class BmcSweep {
   // property; closed entries nulled). Returns how many tasks it closed.
   std::size_t process_seeds(std::vector<PropertyTask*>& by_prop);
   // Registers the sweep's progress cell (property -1) lazily — at the
-  // first sweep(), when the shard tag is final.
+  // first sweep(), so a sweep that never runs leaves no Running cell.
   void ensure_progress();
 
   const ts::TransitionSystem& ts_;
   SchedulerOptions opts_;  // copied: a sweep may outlive a caller's round
-  bool local_mode_;
   bmc::Bmc bmc_;
   std::vector<std::size_t> assumed_;
   std::vector<simfilter::NearMissSeed> seeds_;  // pending, next sweep()

@@ -68,6 +68,20 @@ double next_slice_scale(const EngineOptions& opts, double scale, bool budgeted,
   return scale;
 }
 
+ic3::Ic3Options make_ic3_options(const EngineOptions& engine, int shard,
+                                 long long prop) {
+  ic3::Ic3Options opts;
+  opts.lifting_respects_constraints = engine.lifting_respects_constraints;
+  opts.simplify = engine.simplify;
+  opts.solver_mode = engine.ic3_solver;
+  opts.use_template = engine.ic3_use_template;
+  opts.rebuild_threshold = engine.ic3_rebuild_threshold;
+  opts.conflict_budget_per_query = engine.conflict_budget_per_query;
+  opts.trace = obs::TraceSink(engine.tracer, shard, prop);
+  opts.profile = obs::ProfileSink(engine.profiler, shard, prop);
+  return opts;
+}
+
 int num_ladder_rungs() { return 4; }
 
 const char* rung_name(int rung) {
@@ -96,13 +110,15 @@ EngineOptions degrade_for_rung(EngineOptions opts, int rung) {
 
 PropertyTask::PropertyTask(const ts::TransitionSystem& ts, std::size_t prop,
                            std::vector<std::size_t> assumed,
-                           const EngineOptions& engine, bool local_mode)
+                           const EngineOptions& engine, bool local_mode,
+                           int shard)
     : ts_(ts),
       prop_(prop),
       assumed_(std::move(assumed)),
       engine_opts_(engine),
       local_mode_(local_mode),
-      strict_lifting_(engine.lifting_respects_constraints) {
+      strict_lifting_(engine.lifting_respects_constraints),
+      obs_shard_(shard) {
   if (engine_opts_.progress != nullptr) {
     progress_ = engine_opts_.progress->register_task(
         static_cast<long long>(prop_), obs_shard_);
@@ -111,30 +127,17 @@ PropertyTask::PropertyTask(const ts::TransitionSystem& ts, std::size_t prop,
 
 PropertyTask::~PropertyTask() = default;
 
-void PropertyTask::set_shard_tag(int shard) {
-  obs_shard_ = shard;
-  if (progress_ != nullptr) progress_->set_shard(shard);
-}
-
 void PropertyTask::publish_state() {
   if (progress_ != nullptr) progress_->set_state(to_progress(state_));
 }
 
 void PropertyTask::ensure_engine(ClauseDb* db) {
   if (engine_) return;
-  ic3::Ic3Options opts;
+  ic3::Ic3Options opts = make_ic3_options(engine_opts_, obs_shard_,
+                                          static_cast<long long>(prop_));
   opts.assumed = assumed_;
   opts.lifting_respects_constraints = strict_lifting_;
-  opts.simplify = engine_opts_.simplify;
-  opts.solver_mode = engine_opts_.ic3_solver;
-  opts.use_template = engine_opts_.ic3_use_template;
-  opts.rebuild_threshold = engine_opts_.ic3_rebuild_threshold;
   opts.template_cache = templates_;
-  opts.conflict_budget_per_query = engine_opts_.conflict_budget_per_query;
-  opts.trace = obs::TraceSink(engine_opts_.tracer, obs_shard_,
-                              static_cast<long long>(prop_));
-  opts.profile = obs::ProfileSink(engine_opts_.profiler, obs_shard_,
-                                  static_cast<long long>(prop_));
   opts.progress = progress_;
   // Time budgeting is the task's job: the internal engine deadline would
   // tick in wall-clock while *other* tasks hold the engine pool.

@@ -16,10 +16,9 @@
 // close path frees the engine (its SAT contexts) and the seed snapshot;
 // the result row keeps the final engine's stats.
 //
-// A task is not thread-safe: the schedulers touch each task from one
+// A task is not thread-safe: the scheduler touches each task from one
 // thread at a time. Slices run on pool workers; resolve_fails runs from a
-// BMC sweep (Scheduler: on the caller thread between pool rounds;
-// ShardedScheduler: on the pass-1 worker of the task's own shard, and the
+// BMC sweep (on the pass-1 pool worker of the task's own shard; the
 // pool.run barrier separates pass 1 from the pass-2 slices), or from the
 // prefilter kill routing and the final close_unknown on the caller thread.
 //
@@ -89,6 +88,13 @@ double next_slice_scale(const EngineOptions& opts, double scale, bool budgeted,
                         std::uint64_t clauses_before,
                         std::uint64_t obligations_before);
 
+// The IC3 configuration every scheduler engine starts from: the shared
+// EngineOptions knobs, plus trace and profile sinks tagged with (shard,
+// prop); -1 = untagged. Callers add what is theirs alone: assumptions,
+// seeds, budgets, the template memo and the progress cell.
+ic3::Ic3Options make_ic3_options(const EngineOptions& engine, int shard,
+                                 long long prop);
+
 // --- degrade-and-retry ladder (resilience) --------------------------------
 //
 // A task whose slice throws (engine exception, std::bad_alloc, injected
@@ -110,10 +116,12 @@ class PropertyTask {
  public:
   // `local_mode` selects the verdict labels (Locally/Globally) and enables
   // the spurious-CEX strict-lifting retry; `assumed` is this target's
-  // assumption set (empty for global proofs).
+  // assumption set (empty for global proofs). `shard` tags this task's
+  // trace events, profile slots and progress cell (src/obs); -1 means
+  // unsharded.
   PropertyTask(const ts::TransitionSystem& ts, std::size_t prop,
                std::vector<std::size_t> assumed, const EngineOptions& engine,
-               bool local_mode);
+               bool local_mode, int shard = -1);
   ~PropertyTask();
 
   std::size_t prop() const { return prop_; }
@@ -137,11 +145,6 @@ class PropertyTask {
   // coincide then encode the one-step cone once per run instead of once
   // each. The cache must outlive the task. Call before the first slice.
   void attach_templates(cnf::TemplateCache* templates);
-
-  // Shard tag stamped onto this task's trace events, profile slots and
-  // progress cell (src/obs); -1 (the default) means unsharded. Call
-  // before the first slice so the engine's own events inherit it.
-  void set_shard_tag(int shard);
 
   // Runs one engine slice (respecting the per-property time budget). When
   // `db` is non-null and clause re-use is on, the engine is seeded from it
@@ -227,7 +230,7 @@ class PropertyTask {
   std::uint64_t reported_rejected_ = 0;
   std::uint64_t reported_known_ = 0;
   // Observability: shard tag for trace events and the fold-once latch.
-  int obs_shard_ = -1;
+  int obs_shard_;
   bool metrics_folded_ = false;
   // Live-progress cell on EngineOptions::progress (null = monitoring
   // off). Registered at construction; the engine publishes through it

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "aig/sim.h"
 #include "base/log.h"
@@ -18,256 +20,37 @@
 
 namespace javer::mp::sched {
 
-Scheduler::Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts)
-    : ts_(ts), opts_(std::move(opts)) {}
+namespace {
 
-std::vector<std::size_t> Scheduler::assumptions_for(std::size_t prop) const {
-  if (opts_.proof_mode != ProofMode::Local) return {};
-  return local_assumptions(ts_, prop);
-}
-
-std::vector<std::size_t> Scheduler::resolve_order() const {
-  if (!opts_.engine.order.empty()) return opts_.engine.order;
-  std::vector<std::size_t> order(ts_.num_properties());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return order;
-}
-
-unsigned Scheduler::effective_threads() const {
-  return resolve_worker_count(opts_.num_threads, ts_.num_properties());
-}
-
-MultiResult Scheduler::run() {
-  ClauseDb db;
-  return run(db);
-}
-
-MultiResult Scheduler::run(ClauseDb& db) {
-  if (opts_.dispatch == DispatchPolicy::JointAggregate) return run_joint();
-  return run_tasks(db);
-}
-
-MultiResult Scheduler::run_tasks(ClauseDb& db) {
-  Timer total;
-  MultiResult result;
-  result.per_property.resize(ts_.num_properties());
-
-  const obs::TraceSink sink(opts_.engine.tracer);
-  obs::MetricsRegistry* metrics = opts_.engine.metrics;
-
-  // Fault injection (src/fault): parse EngineOptions::fault_plan and
-  // install the injector for the run's duration. A malformed plan throws
-  // here, before any work — that is a configuration error, not a fault
-  // to isolate. First-wins semantics make a nested scheduler under an
-  // injected outer run a no-op; declared before every task/pool object
-  // so the scope outlives all instrumented call paths.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!opts_.engine.fault_plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(opts_.engine.fault_plan));
-    injector->set_observability(opts_.engine.tracer, metrics);
-  }
-  fault::ScopedInjection injection(injector.get());
-
-  const bool local = opts_.proof_mode == ProofMode::Local;
-  // One template memo for the whole run: in local mode every non-ETF
-  // target's {target} ∪ assumed set is the same property set, so all those
-  // tasks replay a single transition-relation encoding (thread-safe, so
-  // the worker pool shares it freely).
-  cnf::TemplateCache templates(ts_);
-
-  // Warm-start persistence (EngineOptions::cache_dir): templates replay
-  // from disk through the TemplateCache's store hook, and the run-wide
-  // ClauseDb is seeded with the previous run's strengthenings (the "one
-  // shard" of the unsharded scheduler, keyed by the full property set).
-  // Loaded cubes are ordinary seed candidates — engines re-validate them —
-  // so a stale or corrupted cache degrades to a cold run.
-  std::unique_ptr<persist::PersistCache> cache;
-  std::uint64_t fp = 0;
-  std::uint64_t sig = 0;
-  if (!opts_.engine.cache_dir.empty()) {
-    try {
-      cache = std::make_unique<persist::PersistCache>(opts_.engine.cache_dir);
-    } catch (const std::exception& e) {
-      JAVER_LOG(Info) << "sched: warm-start cache unusable, running cold: "
-                      << e.what();
-    }
-  }
-  if (cache) {
-    cache->set_trace(sink);
-    cache->set_profile(obs::ProfileSink(opts_.engine.profiler));
-    templates.attach_store(cache.get());
-    if (opts_.engine.clause_reuse) {
-      fp = aig::fingerprint(ts_.aig());
-      std::vector<std::size_t> all(ts_.num_properties());
-      std::iota(all.begin(), all.end(), std::size_t{0});
-      sig = persist::index_set_signature(std::move(all));
-      if (auto cubes = cache->load_clause_db(ts_, fp, sig)) db.add(*cubes);
-    }
-  }
-
-  std::vector<std::unique_ptr<PropertyTask>> tasks;
-  for (std::size_t p : resolve_order()) {
-    tasks.push_back(std::make_unique<PropertyTask>(
-        ts_, p, assumptions_for(p), opts_.engine, local));
-    tasks.back()->attach_templates(&templates);
-  }
-
-  ClauseDb* db_ptr = &db;  // tasks gate on clause_reuse themselves
-  const double total_limit = opts_.engine.total_time_limit;
-  auto out_of_time = [&] {
-    return total_limit > 0 && total.seconds() >= total_limit;
-  };
-
-  WorkerPool pool(effective_threads());
-  pool.set_observability(sink, metrics);
-
-  // Simulation prefilter (mp/simfilter): before any SAT work, batched
-  // random simulation falsifies shallow properties — each kill carries a
-  // counterexample the witness-checker oracle certified, so closing the
-  // task here is exactly as sound as closing it from an engine. Full mode
-  // additionally exports near-miss prefix seeds into the hybrid BMC sweep.
-  std::vector<simfilter::NearMissSeed> seeds;
-  if (opts_.engine.sim_filter.mode != simfilter::SimFilterMode::Off) {
-    simfilter::SimFilter filter(ts_, opts_.engine.sim_filter, local,
-                                opts_.engine.tracer, metrics);
-    std::vector<std::size_t> targets;
-    for (auto& task : tasks) targets.push_back(task->prop());
-    filter.run(targets, &pool);
-    for (const simfilter::SimKill& k : filter.kills()) {
-      for (auto& task : tasks) {
-        if (task->prop() == k.prop && task->open()) {
-          task->resolve_fails(k.cex, k.depth);
-        }
-      }
-    }
-    seeds = filter.take_seeds();
-    result.sim_stats = filter.stats();
-  }
-
-  if (opts_.dispatch == DispatchPolicy::RunToCompletion) {
-    // With one thread the pool drains on the caller in index order, so
-    // this is also the classic sequential separate/JA loop.
-    pool.run(tasks.size(), [&](std::size_t i) {
-      if (out_of_time()) return;  // stays Unknown
-      while (tasks[i]->open()) tasks[i]->run_slice(TaskBudget{}, db_ptr);
-    });
-  } else {  // HybridBmcIc3
-    BmcSweep sweep(ts_, opts_, local);
-    sweep.add_near_miss_seeds(std::move(seeds));
-    std::vector<PropertyTask*> task_ptrs;
-    for (auto& task : tasks) task_ptrs.push_back(task.get());
-    const TaskBudget slice{opts_.ic3_slice_seconds,
-                           opts_.ic3_slice_conflicts};
-    int round = 0;
-    while (!out_of_time()) {
-      const std::uint64_t round_begin = sink.begin();
-      double remaining =
-          total_limit > 0 ? total_limit - total.seconds() : 0.0;
-      try {
-        sweep.sweep(task_ptrs, remaining);
-      } catch (const std::exception& e) {
-        // The sweep runs on the caller thread outside any task's
-        // isolation boundary; quarantine it and let the IC3 slices
-        // finish the run alone.
-        JAVER_LOG(Info) << "sched: BMC sweep failed, disabling: "
-                        << e.what();
-        sweep.disable();
-        if (metrics != nullptr) metrics->add("fault.caught");
-        sink.instant("fault", "sweep_failure", round);
-      }
-
-      std::vector<std::size_t> open;
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tasks[i]->open()) open.push_back(i);
-      }
-      if (open.empty()) break;
-      if (out_of_time()) break;
-      pool.run(open.size(), [&](std::size_t i) {
-        tasks[open[i]]->run_slice(slice, db_ptr);
-      });
-      if (metrics != nullptr) {
-        metrics->add("sched.rounds");
-        metrics->heartbeat(total.seconds());
-      }
-      if (sink.enabled()) {
-        sink.complete("sched", "round", round_begin, -1,
-                      "\"round\":" + std::to_string(round) +
-                          ",\"open\":" + std::to_string(open.size()));
-      }
-      round++;
-    }
-    for (auto& task : tasks) {
-      if (task->open()) task->close_unknown();
-    }
-    result.sim_stats.seed_hits = sweep.seed_hits();
-    result.sim_stats.seed_discarded = sweep.seed_discarded();
-  }
-
-  for (auto& task : tasks) {
-    result.per_property[task->prop()] = std::move(task->result());
-  }
-  if (cache) {
-    if (opts_.engine.clause_reuse && db.size() > 0) {
-      cache->store_clause_db(fp, sig, db.snapshot());
-    }
-    result.cache_stats = cache->stats();
-    if (metrics != nullptr) {
-      persist::fold_stats(*metrics, result.cache_stats);
-    }
-  }
-  result.total_seconds = total.seconds();
-  if (metrics != nullptr) {
-    // raise(): nested schedulers folding the same tracer's cumulative
-    // drop counter stay idempotent instead of double-counting.
-    if (opts_.engine.tracer != nullptr &&
-        opts_.engine.tracer->dropped_events() > 0) {
-      metrics->raise("obs.trace_dropped",
-                     opts_.engine.tracer->dropped_events());
-    }
-    result.metrics = metrics->snapshot(result.total_seconds);
-  }
-  return result;
-}
-
-MultiResult Scheduler::run_joint() {
-  Timer total;
-  MultiResult result;
-  result.per_property.resize(ts_.num_properties());
-
-  const obs::TraceSink sink(opts_.engine.tracer);
-  obs::MetricsRegistry* metrics = opts_.engine.metrics;
-  std::vector<std::size_t> unsolved;
-  for (std::size_t i = 0; i < ts_.num_properties(); ++i) unsolved.push_back(i);
-
+// The Jnt-ver loop over `unsolved` (indices into `ts`) within `limit`
+// seconds (0 = unlimited): one IC3 run on the conjunction per iteration.
+// Writes only the subset's rows of `result`, so disjoint subsets may run
+// concurrently.
+void run_aggregate(const ts::TransitionSystem& ts,
+                   const SchedulerOptions& opts,
+                   std::vector<std::size_t> unsolved, double limit,
+                   const Timer& total, MultiResult& result) {
+  const obs::TraceSink sink(opts.engine.tracer);
+  obs::MetricsRegistry* metrics = opts.engine.metrics;
+  Timer elapsed;
   while (!unsolved.empty()) {
     double remaining = 0.0;
-    if (opts_.engine.total_time_limit > 0) {
-      remaining = opts_.engine.total_time_limit - total.seconds();
+    if (limit > 0) {
+      remaining = limit - elapsed.seconds();
       if (remaining <= 0) break;
     }
-    double iteration_limit = opts_.time_limit_per_iteration;
+    double iteration_limit = opts.time_limit_per_iteration;
     if (remaining > 0 &&
         (iteration_limit <= 0 || iteration_limit > remaining)) {
       iteration_limit = remaining;
     }
 
-    auto [agg_aig, agg_index] = make_aggregate(ts_.aig(), unsolved);
+    auto [agg_aig, agg_index] = make_aggregate(ts.aig(), unsolved);
     ts::TransitionSystem agg_ts(agg_aig);
-
-    ic3::Ic3Options engine_opts;
-    engine_opts.time_limit_seconds = iteration_limit;
-    engine_opts.conflict_budget_per_query =
-        opts_.engine.conflict_budget_per_query;
-    engine_opts.lifting_respects_constraints =
-        opts_.engine.lifting_respects_constraints;
-    engine_opts.simplify = opts_.engine.simplify;
-    engine_opts.solver_mode = opts_.engine.ic3_solver;
-    engine_opts.use_template = opts_.engine.ic3_use_template;
-    engine_opts.rebuild_threshold = opts_.engine.ic3_rebuild_threshold;
-    engine_opts.trace = sink;
     // No shared cache: each iteration checks a fresh aggregate TS, but the
     // engine's private template still collapses its per-frame encodings.
+    ic3::Ic3Options engine_opts = make_ic3_options(opts.engine, -1, -1);
+    engine_opts.time_limit_seconds = iteration_limit;
 
     const std::uint64_t iter_begin = sink.begin();
     Timer iteration;
@@ -280,63 +63,454 @@ MultiResult Scheduler::run_joint() {
     }
     if (metrics != nullptr) metrics->heartbeat(total.seconds());
 
-    if (er.status == CheckStatus::Holds) {
+    const bool holds = er.status == CheckStatus::Holds;
+    if (!holds && er.status != CheckStatus::Fails) return;  // budget gone
+    // A proof closes every unsolved property. A counterexample refutes
+    // every unsolved property false at its final step (the prefix
+    // satisfied all of them, so these are exactly the first-failing ones
+    // of this trace); the loop restarts on the rest.
+    std::vector<std::size_t> closed;
+    std::vector<std::size_t> next;
+    if (holds) {
+      closed = std::move(unsolved);
+    } else {
+      aig::Simulator sim(ts.aig());
+      const ts::Step& last = er.cex.steps.back();
+      sim.eval(last.state, last.inputs);
       for (std::size_t p : unsolved) {
-        PropertyResult& pr = result.per_property[p];
-        pr.verdict = PropertyVerdict::HoldsGlobally;
-        pr.seconds = spent;
-        pr.frames = er.frames;
+        (sim.value(ts.property_lit(p)) ? next : closed).push_back(p);
       }
-      // The iteration's engine stats go to one property only, so summing
-      // engine_stats over per_property counts each IC3 run once. The fold
-      // mirrors that, which keeps the registry totals equal to the sum.
-      result.per_property[unsolved.front()].engine_stats = er.stats;
-      if (metrics != nullptr) ic3::fold_stats(*metrics, er.stats);
-      unsolved.clear();
-      break;
+      if (closed.empty()) {
+        // Should be impossible for a genuine aggregate CEX; avoid looping.
+        JAVER_LOG(Info) << "sched: aggregate cex refutes no property; "
+                           "stopping";
+        return;
+      }
     }
-    if (er.status != CheckStatus::Fails) break;  // budget exhausted
-
-    // The aggregate failed: every unsolved property false at the final
-    // step of the CEX is refuted by it (the prefix satisfied all of them,
-    // so these are exactly the first-failing ones of this trace).
-    aig::Simulator sim(ts_.aig());
-    const ts::Step& last = er.cex.steps.back();
-    sim.eval(last.state, last.inputs);
-    std::vector<std::size_t> refuted;
-    for (std::size_t p : unsolved) {
-      if (!sim.value(ts_.property_lit(p))) refuted.push_back(p);
-    }
-    if (refuted.empty()) {
-      // Should be impossible for a genuine aggregate CEX; avoid looping.
-      JAVER_LOG(Info) << "sched: aggregate cex refutes no property; stopping";
-      break;
-    }
-    for (std::size_t p : refuted) {
+    for (std::size_t p : closed) {
       PropertyResult& pr = result.per_property[p];
-      pr.verdict = PropertyVerdict::FailsGlobally;
+      pr.verdict = holds ? PropertyVerdict::HoldsGlobally
+                         : PropertyVerdict::FailsGlobally;
       pr.seconds = spent;
       pr.frames = er.frames;
-      pr.cex = er.cex;
+      if (!holds) pr.cex = er.cex;
     }
-    result.per_property[refuted.front()].engine_stats = er.stats;
+    // The iteration's engine stats go to one property only, so summing
+    // engine_stats over per_property counts each IC3 run once. The fold
+    // mirrors that, which keeps the registry totals equal to the sum.
+    result.per_property[closed.front()].engine_stats = er.stats;
     if (metrics != nullptr) ic3::fold_stats(*metrics, er.stats);
-    std::vector<std::size_t> next;
-    for (std::size_t p : unsolved) {
-      if (std::find(refuted.begin(), refuted.end(), p) == refuted.end()) {
-        next.push_back(p);
-      }
-    }
     unsolved = std::move(next);
-    JAVER_LOG(Verbose) << "sched: joint iteration refuted " << refuted.size()
+    JAVER_LOG(Verbose) << "sched: joint iteration closed " << closed.size()
                        << ", " << unsolved.size() << " remaining";
   }
+}
 
+}  // namespace
+
+Scheduler::Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts,
+                     std::optional<Sharding> sharding)
+    : ts_(ts), opts_(std::move(opts)), sharding_(std::move(sharding)) {}
+
+std::vector<std::size_t> Scheduler::assumptions_for(std::size_t prop) const {
+  if (opts_.proof_mode != ProofMode::Local) return {};
+  return local_assumptions(ts_, prop);
+}
+
+std::vector<std::vector<std::size_t>> Scheduler::partition(
+    std::vector<std::uint64_t> signatures,
+    std::size_t* signature_merges) const {
+  const std::vector<std::size_t>& order = opts_.engine.order;
+  if (!sharding_) {
+    // The aggregate conjoins every property in design order.
+    if (!order.empty() && opts_.dispatch != DispatchPolicy::JointAggregate) {
+      return {order};
+    }
+    std::vector<std::size_t> all(ts_.num_properties());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return {all};
+  }
+  ClusterOptions copts = sharding_->clustering;
+  if (!signatures.empty()) copts.signatures = std::move(signatures);
+  auto clusters = cluster_properties(ts_, copts, signature_merges);
+  if (!order.empty()) {
+    // Honor the verification order within each cluster (properties absent
+    // from the order keep design order, after the ordered ones).
+    std::vector<std::size_t> rank(ts_.num_properties(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] < rank.size()) rank[order[i]] = i;
+    }
+    for (auto& cluster : clusters) {
+      std::sort(cluster.begin(), cluster.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return rank[a] != rank[b] ? rank[a] < rank[b] : a < b;
+                });
+    }
+  }
+  return clusters;
+}
+
+MultiResult Scheduler::run() {
+  ClauseDb db;
+  return run(db);
+}
+
+MultiResult Scheduler::run(ClauseDb& db) {
+  Timer total;
+  MultiResult result;
+  result.per_property.resize(ts_.num_properties());
+  exchange_stats_ = {};
+  // The aggregate policy takes no clause database.
+  if (opts_.dispatch == DispatchPolicy::JointAggregate) {
+    run_joint(total, result);
+  } else {
+    run_tasks(db, total, result);
+  }
   result.total_seconds = total.seconds();
-  if (metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = opts_.engine.metrics) {
+    // raise(): repeated runs folding the same tracer's cumulative drop
+    // counter stay idempotent instead of double-counting.
+    obs::Tracer* tracer = opts_.engine.tracer;
+    if (tracer != nullptr && tracer->dropped_events() > 0) {
+      metrics->raise("obs.trace_dropped", tracer->dropped_events());
+    }
     result.metrics = metrics->snapshot(result.total_seconds);
   }
   return result;
+}
+
+void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
+                          MultiResult& result) {
+  const obs::TraceSink sink(opts_.engine.tracer);
+  obs::MetricsRegistry* metrics = opts_.engine.metrics;
+  const EngineOptions& engine = opts_.engine;
+
+  // Fault injection (src/fault): parse EngineOptions::fault_plan and
+  // install the injector for the run's duration. A malformed plan throws
+  // here, before any work — that is a configuration error, not a fault
+  // to isolate. Declared before every task/pool/sweep object so the scope
+  // outlives all instrumented call paths.
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (!engine.fault_plan.empty()) {
+    injector = std::make_unique<fault::FaultInjector>(
+        fault::FaultPlan::parse(engine.fault_plan));
+    injector->set_observability(engine.tracer, metrics);
+  }
+  fault::ScopedInjection injection(injector.get());
+
+  const bool sharded = sharding_.has_value();
+  const bool local = opts_.proof_mode == ProofMode::Local;
+  const bool hybrid = opts_.dispatch == DispatchPolicy::HybridBmcIc3;
+
+  WorkerPool pool(
+      resolve_worker_count(opts_.num_threads, ts_.num_properties()));
+  pool.set_observability(sink, metrics);
+
+  // Simulation prefilter (mp/simfilter) runs before the partition: its
+  // kills close tasks with oracle-certified counterexamples, its near-miss
+  // seeds feed the shard sweeps, and its behavior signatures join the
+  // clustering similarity — properties that behaved identically on every
+  // simulated pattern are candidate-equivalent and share a shard.
+  std::unique_ptr<simfilter::SimFilter> filter;
+  if (engine.sim_filter.mode != simfilter::SimFilterMode::Off) {
+    filter = std::make_unique<simfilter::SimFilter>(
+        ts_, engine.sim_filter, local, engine.tracer, metrics);
+    std::vector<std::size_t> targets(ts_.num_properties());
+    std::iota(targets.begin(), targets.end(), std::size_t{0});
+    filter->run(targets, &pool);
+    result.sim_stats = filter->stats();
+  }
+
+  std::size_t sig_merges = 0;
+  const auto clusters = partition(
+      filter ? filter->signatures() : std::vector<std::uint64_t>{},
+      &sig_merges);
+  num_shards_ = clusters.size();
+  result.sim_stats.signature_merges = sig_merges;
+  if (metrics != nullptr && sig_merges > 0) {
+    metrics->add("sim.signature_merges", sig_merges);
+  }
+
+  exchange::LemmaBus bus(
+      clusters.size(),
+      sharded ? sharding_->exchange : exchange::ExchangeMode::Off);
+  bus.set_trace(sink);
+  ShardedClauseDb dbs(clusters.size());
+  if (engine.clause_reuse) dbs.seed_all(db.snapshot());
+  // One template memo for the whole run, shared by every shard's tasks:
+  // templates are keyed by (design fingerprint, {target} ∪ assumed) —
+  // which in local mode is the same property set for every non-ETF target
+  // design-wide, regardless of shard — so sibling tasks stop re-encoding
+  // the transition relation. Thread-safe; the pool hits it concurrently.
+  cnf::TemplateCache templates(ts_);
+
+  // Warm-start persistence (EngineOptions::cache_dir): the shared
+  // template replays from disk, and every shard's ClauseDb is seeded from
+  // the previous run's snapshot for the same (design, shard-member-set)
+  // key — for the trivial partition, the full property set — so an
+  // unchanged design with unchanged partition starts each shard from its
+  // proven invariants. Engines re-validate every seeded cube, so cache
+  // corruption can only cost warmth, never soundness.
+  std::unique_ptr<persist::PersistCache> cache;
+  if (!engine.cache_dir.empty()) {
+    try {
+      cache = std::make_unique<persist::PersistCache>(engine.cache_dir);
+    } catch (const std::exception& e) {
+      JAVER_LOG(Info) << "sched: warm-start cache unusable, running cold: "
+                      << e.what();
+    }
+  }
+  const std::uint64_t fp =
+      cache && engine.clause_reuse ? aig::fingerprint(ts_.aig()) : 0;
+  auto shard_key = [&](std::size_t i) {
+    return persist::index_set_signature(clusters[i]);
+  };
+  if (cache) {
+    cache->set_trace(sink);
+    cache->set_profile(obs::ProfileSink(engine.profiler));
+    templates.attach_store(cache.get());
+    for (std::size_t i = 0; engine.clause_reuse && i < clusters.size(); ++i) {
+      if (auto cubes = cache->load_clause_db(ts_, fp, shard_key(i))) {
+        dbs.shard(i).add(*cubes);
+      }
+    }
+  }
+
+  // One shard per cluster: its own task pool, ClauseDb shard, and (for
+  // the hybrid policy) its own shared-unrolling BMC sweep.
+  struct Shard {
+    std::size_t id = 0;
+    int tag = -1;  // trace/profile/progress shard tag; -1 = unsharded
+    std::vector<std::unique_ptr<PropertyTask>> tasks;
+    std::unique_ptr<BmcSweep> sweep;
+    exchange::LemmaBus::Cursor bmc_cursor;
+  };
+  std::vector<Shard> shards(clusters.size());
+  std::vector<int> shard_of(ts_.num_properties(), -1);
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    Shard& s = shards[i];
+    s.id = i;
+    s.tag = sharded ? static_cast<int>(i) : -1;
+    for (std::size_t p : clusters[i]) {
+      auto task = std::make_unique<PropertyTask>(ts_, p, assumptions_for(p),
+                                                 engine, local, s.tag);
+      if (bus.enabled()) task->attach_exchange(&bus, i);
+      task->attach_templates(&templates);
+      s.tasks.push_back(std::move(task));
+      shard_of[p] = static_cast<int>(i);
+    }
+    if (hybrid) s.sweep = std::make_unique<BmcSweep>(ts_, opts_, s.tag);
+  }
+
+  // Prefilter results: close every killed task (the cex is already
+  // oracle-certified) and route each near-miss seed to its property's
+  // owning shard sweep.
+  if (filter != nullptr) {
+    for (const simfilter::SimKill& k : filter->kills()) {
+      if (shard_of[k.prop] < 0) continue;
+      for (auto& t : shards[shard_of[k.prop]].tasks) {
+        if (t->prop() == k.prop && t->open()) t->resolve_fails(k.cex, k.depth);
+      }
+    }
+    for (simfilter::NearMissSeed& sd : filter->take_seeds()) {
+      if (hybrid && shard_of[sd.prop] >= 0) {
+        shards[shard_of[sd.prop]].sweep->add_near_miss_seeds({std::move(sd)});
+      }
+    }
+  }
+
+  const double total_limit = engine.total_time_limit;
+  auto out_of_time = [&] {
+    return total_limit > 0 && total.seconds() >= total_limit;
+  };
+  auto open_in = [](Shard& s) {
+    std::vector<PropertyTask*> open;
+    for (auto& t : s.tasks) {
+      if (t->open()) open.push_back(t.get());
+    }
+    return open;
+  };
+  // Every open task, paired with the ClauseDb shard it seeds from and
+  // publishes into.
+  auto open_tasks = [&] {
+    std::vector<std::pair<ClauseDb*, PropertyTask*>> open;
+    for (Shard& s : shards) {
+      for (PropertyTask* t : open_in(s)) open.emplace_back(&dbs.shard(s.id), t);
+    }
+    return open;
+  };
+  // A producing engine's F_inf lemmas are invariant relative to traces
+  // whose non-final steps satisfy the engine's *target* property and its
+  // assumed set (the frame solvers' path constraint asserts both).
+  // Installing one into a sweep's unrolling is sound only when the sweep
+  // asserts at least that much on its prefix — true for every non-ETF
+  // local producer (its target ∪ assumptions is exactly the sweep's
+  // assumed set), false for ETF producers and in global mode, which this
+  // filter rejects.
+  auto producer_compatible = [&](std::size_t producer,
+                                 const BmcSweep& sweep) {
+    if (producer == exchange::kBmcProducer) return true;
+    std::vector<std::size_t> under = assumptions_for(producer);
+    under.push_back(producer);
+    std::sort(under.begin(), under.end());
+    return std::includes(sweep.assumed().begin(), sweep.assumed().end(),
+                         under.begin(), under.end());
+  };
+
+  if (!hybrid) {  // RunToCompletion: every task drains on the pool
+    // With one thread the pool drains on the caller in index order, so
+    // this is also the classic sequential separate/JA loop.
+    const auto items = open_tasks();
+    pool.run(items.size(), [&](std::size_t i) {
+      if (out_of_time()) return;  // stays open; closed Unknown below
+      auto [db, t] = items[i];
+      while (t->open()) t->run_slice(TaskBudget{}, db);
+    });
+  } else {  // HybridBmcIc3 rounds, two pool passes per round
+    const TaskBudget slice{opts_.ic3_slice_seconds, opts_.ic3_slice_conflicts};
+    int round = 0;
+    while (!out_of_time()) {
+      const std::uint64_t round_begin = sink.begin();
+      std::vector<Shard*> live;
+      for (Shard& s : shards) {
+        if (!open_in(s).empty()) live.push_back(&s);
+      }
+      if (live.empty()) break;
+
+      // Pass 1: per-shard BMC sweeps plus the sweeps' bus traffic.
+      pool.run(live.size(), [&](std::size_t i) {
+        Shard& s = *live[i];
+        // Recompute the remaining budget per item: with fewer workers
+        // than shards the sweeps serialize, and each must only get what
+        // is actually left, not the round's opening balance.
+        if (out_of_time()) return;
+        double remaining =
+            total_limit > 0 ? total_limit - total.seconds() : 0.0;
+        // An exhausted sweep can neither find failures nor use or
+        // produce lemmas; skip its exchange traffic entirely. (The
+        // harvest below still runs on the round the sweep exhausts.)
+        const bool exchange = bus.enabled() && !s.sweep->exhausted();
+        try {
+          if (exchange) {
+            std::vector<exchange::Lemma> lemmas =
+                bus.poll(s.id, s.bmc_cursor,
+                         exchange::LemmaKind::Ic3Strengthening,
+                         exchange::kBmcProducer);
+            if (!lemmas.empty()) {
+              std::vector<ts::Cube> cubes;
+              cubes.reserve(lemmas.size());
+              for (exchange::Lemma& l : lemmas) {
+                if (producer_compatible(l.producer, *s.sweep)) {
+                  cubes.push_back(std::move(l.cube));
+                }
+              }
+              std::size_t installed = s.sweep->install_invariant_cubes(cubes);
+              // Incompatible producers are rejections; compatible lemmas
+              // the unrolling already had (or could no longer use) are
+              // redundant deliveries.
+              bus.record_import(s.id, installed, lemmas.size() - cubes.size(),
+                                cubes.size() - installed);
+            }
+          }
+          s.sweep->sweep(open_in(s), remaining);
+          if (exchange) {
+            bus.publish(s.id, exchange::LemmaKind::BmcUnit,
+                        exchange::kBmcProducer,
+                        s.sweep->harvest_unit_candidates());
+          }
+        } catch (const std::exception& e) {
+          // A sweep failure is quarantined to its shard: mark the sweep
+          // exhausted and let the shard's IC3 tasks finish on their own.
+          JAVER_LOG(Info) << "sched: shard " << s.id
+                          << ": BMC sweep failed, disabling: " << e.what();
+          s.sweep->disable();
+          if (metrics != nullptr) metrics->add("fault.caught");
+          sink.with_shard(s.tag).instant("fault", "sweep_failure", round);
+        }
+      });
+
+      // Pass 2: one IC3 slice for every still-open task, shard-agnostic
+      // on the pool (this is where shard load-balancing happens).
+      const auto open = open_tasks();
+      if (open.empty() || out_of_time()) break;
+      pool.run(open.size(), [&](std::size_t i) {
+        open[i].second->run_slice(slice, open[i].first);
+      });
+      if (metrics != nullptr) {
+        metrics->add("sched.rounds");
+        metrics->heartbeat(total.seconds());
+      }
+      if (sink.enabled()) {
+        std::string args = "\"round\":" + std::to_string(round);
+        if (sharded) args += ",\"shards\":" + std::to_string(live.size());
+        args += ",\"open\":" + std::to_string(open.size());
+        sink.complete("sched", "round", round_begin, -1, std::move(args));
+      }
+      round++;
+    }
+  }
+
+  // Every task closes exactly once, including ones the budget never let
+  // start.
+  for (Shard& s : shards) {
+    for (auto& t : s.tasks) {
+      if (t->open()) t->close_unknown();
+      result.per_property[t->prop()] = std::move(t->result());
+    }
+    if (s.sweep != nullptr) {
+      result.sim_stats.seed_hits += s.sweep->seed_hits();
+      result.sim_stats.seed_discarded += s.sweep->seed_discarded();
+    }
+  }
+
+  if (engine.clause_reuse) db.add(dbs.merged_snapshot());
+  if (cache) {
+    for (std::size_t i = 0; engine.clause_reuse && i < clusters.size(); ++i) {
+      const std::vector<ts::Cube> snap = dbs.shard(i).snapshot();
+      if (!snap.empty()) cache->store_clause_db(fp, shard_key(i), snap);
+    }
+    result.cache_stats = cache->stats();
+    if (metrics != nullptr) persist::fold_stats(*metrics, result.cache_stats);
+  }
+  exchange_stats_ = bus.stats();
+  if (sharded) {
+    // The trivial partition has no exchange to report; its outputs keep
+    // the unsharded shape.
+    result.exchange_per_shard.reserve(bus.num_shards());
+    for (std::size_t i = 0; i < bus.num_shards(); ++i) {
+      result.exchange_per_shard.push_back(bus.channel_stats(i));
+    }
+    if (metrics != nullptr) {
+      metrics->add("exchange.published", exchange_stats_.published);
+      metrics->add("exchange.duplicates", exchange_stats_.duplicates);
+      metrics->add("exchange.mode_filtered", exchange_stats_.mode_filtered);
+      metrics->add("exchange.delivered", exchange_stats_.delivered);
+      metrics->add("exchange.imported", exchange_stats_.imported);
+      metrics->add("exchange.rejected", exchange_stats_.rejected);
+      metrics->add("exchange.redundant", exchange_stats_.redundant);
+    }
+  }
+}
+
+void Scheduler::run_joint(const Timer& total, MultiResult& result) {
+  const auto clusters = partition({}, nullptr);
+  num_shards_ = clusters.size();
+
+  // Parallelism lives at the shard level: each shard's aggregate loop is
+  // one pool item, bounded by the per-shard limit and what is left of the
+  // total budget when it starts.
+  const double total_limit = opts_.engine.total_time_limit;
+  WorkerPool pool(
+      resolve_worker_count(opts_.num_threads, ts_.num_properties()));
+  pool.run(clusters.size(), [&](std::size_t i) {
+    double limit = sharding_ ? sharding_->time_limit_per_shard : 0.0;
+    if (total_limit > 0) {
+      const double remaining = total_limit - total.seconds();
+      if (remaining <= 0) return;  // stays Unknown
+      if (limit <= 0 || limit > remaining) limit = remaining;
+    }
+    run_aggregate(ts_, opts_, clusters[i], limit, total, result);
+  });
 }
 
 }  // namespace javer::mp::sched

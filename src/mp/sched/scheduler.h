@@ -1,8 +1,18 @@
 // Scheduler: the one orchestrator behind every verification mode. It owns
 // the PropertyTask pool, the ClauseDb plumbing, the worker pool, and the
-// engines; the four public verifier classes (SeparateVerifier, JaVerifier,
-// JointVerifier, ParallelJaVerifier) are thin policy presets over it, and
-// the hybrid policy is only expressible here.
+// engines; the five public verifier classes and mp::shard's
+// ShardedScheduler are thin option presets over it.
+//
+// Every run dispatches over a *partition* of the properties into shards.
+// The default is the trivial partition: one shard holding every property
+// in verification order, untagged (-1) in traces and profiles, lemma
+// exchange off. A `Sharding` (what ShardedScheduler passes) partitions by
+// cone similarity instead, after the simulation prefilter so its
+// behavior signatures join the similarity, with one tagged shard per
+// cluster. Each shard owns its PropertyTasks, a ClauseDb seeded from the
+// caller's database and merged back into it, and (hybrid policy) its own
+// shared-unrolling BmcSweep; the persist cache keys each shard's database
+// by its member set, so the trivial shard's key is the full property set.
 //
 // Policies:
 //  * RunToCompletion — each property gets one engine run bounded by its
@@ -10,24 +20,29 @@
 //    dispatched onto the worker pool (the paper's Section 11 parallel
 //    mode); with local proofs this is Sep-loc/JA, with global proofs
 //    Sep-glob.
-//  * HybridBmcIc3 — rounds interleaving a *shared* BMC falsification
-//    sweep over every still-open property (one incremental unrolling,
-//    "just assume" constraints on the prefix) with round-robin IC3 budget
-//    slices. Failing-heavy workloads (the paper's Tables III/V/VIII
-//    substrate) die cheaply in the BMC sweeps before IC3 spends anything
-//    on them; the surviving properties get proven by the sliced IC3
-//    engines, which keep their frames between slices.
-//  * JointAggregate — the paper's Jnt-ver baseline: one IC3 run on the
-//    conjunction of all open properties; a counterexample removes the
-//    refuted subset and the loop restarts on the rest.
+//  * HybridBmcIc3 — rounds of two pool passes: every live shard's BMC
+//    falsification sweep (one incremental unrolling, "just assume"
+//    constraints on the prefix), then one IC3 budget slice per open task,
+//    shard-agnostic, so a slow shard never holds up the rest.
+//    Failing-heavy workloads (the paper's Tables III/V/VIII substrate)
+//    die cheaply in the BMC sweeps before IC3 spends anything on them;
+//    the surviving properties get proven by the sliced IC3 engines,
+//    which keep their frames between slices.
+//  * JointAggregate — the paper's Jnt-ver baseline, per shard on the
+//    pool: one IC3 run on the conjunction of the shard's open
+//    properties; a counterexample removes the refuted subset and the
+//    loop restarts on the rest. Takes no clause database.
 #ifndef JAVER_MP_SCHED_SCHEDULER_H
 #define JAVER_MP_SCHED_SCHEDULER_H
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
+#include "base/timer.h"
 #include "mp/clause_db.h"
+#include "mp/clustering.h"
+#include "mp/exchange/lemma_bus.h"
 #include "mp/report.h"
 #include "mp/sched/engine_options.h"
 #include "mp/sched/property_task.h"
@@ -69,9 +84,23 @@ struct SchedulerOptions {
   double time_limit_per_iteration = 0.0;  // 0 = bounded only by total
 };
 
+// A cluster-sharded run (what mp::shard's ShardedScheduler passes): one
+// shard per cone-similarity cluster (mp/clustering.h), members ranked by
+// the engine order option. `exchange` selects each shard's LemmaBus
+// traffic (task policies); `time_limit_per_shard` bounds each shard's
+// aggregate loop (JointAggregate; 0 = total budget only).
+struct Sharding {
+  ClusterOptions clustering;
+  exchange::ExchangeMode exchange = exchange::ExchangeMode::Units;
+  double time_limit_per_shard = 0.0;
+};
+
 class Scheduler {
  public:
-  Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts);
+  // Without `sharding`, the trivial partition: one untagged shard, lemma
+  // exchange off.
+  Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts,
+            std::optional<Sharding> sharding = std::nullopt);
 
   MultiResult run();
   MultiResult run(ClauseDb& db);
@@ -80,14 +109,31 @@ class Scheduler {
   // ETH property except the target for Local, empty for Global.
   std::vector<std::size_t> assumptions_for(std::size_t prop) const;
 
+  // Post-run introspection (bench / CLI metrics).
+  std::size_t num_shards() const { return num_shards_; }
+  const exchange::ExchangeStats& exchange_stats() const {
+    return exchange_stats_;
+  }
+
  private:
-  MultiResult run_tasks(ClauseDb& db);  // RunToCompletion + HybridBmcIc3
-  MultiResult run_joint();              // JointAggregate
-  std::vector<std::size_t> resolve_order() const;
-  unsigned effective_threads() const;
+  // The policy bodies — RunToCompletion and HybridBmcIc3 share
+  // run_tasks — filling the result run() set up and finalises.
+  void run_tasks(ClauseDb& db, const Timer& total, MultiResult& result);
+  void run_joint(const Timer& total, MultiResult& result);
+  // The run's partition: the trivial one holds the engine order option
+  // (design order by default; always design order for the aggregate
+  // policy, which conjoins every property). `signatures` are the
+  // prefilter's behavior signatures (empty = keep the clustering's own);
+  // `signature_merges` receives the unions they contributed.
+  std::vector<std::vector<std::size_t>> partition(
+      std::vector<std::uint64_t> signatures,
+      std::size_t* signature_merges) const;
 
   const ts::TransitionSystem& ts_;
   SchedulerOptions opts_;
+  std::optional<Sharding> sharding_;  // nullopt = trivial partition
+  std::size_t num_shards_ = 0;
+  exchange::ExchangeStats exchange_stats_;
 };
 
 }  // namespace javer::mp::sched

@@ -9,19 +9,16 @@ SeparateVerifier::SeparateVerifier(const ts::TransitionSystem& ts,
                                    SeparateOptions opts)
     : ts_(ts), opts_(std::move(opts)) {}
 
-std::vector<std::size_t> SeparateVerifier::assumptions_for(
-    std::size_t prop) const {
-  if (!opts_.local_proofs) return {};
-  return sched::local_assumptions(ts_, prop);
-}
-
 PropertyResult SeparateVerifier::verify_one(std::size_t prop, ClauseDb* db) {
   // One task driven to completion; verdict labels follow the verifier's
   // proof mode even when the assumption set happens to be empty (the
   // projection claim still holds and the debugging-set accounting stays
   // uniform).
-  sched::PropertyTask task(ts_, prop, assumptions_for(prop), opts_,
-                           opts_.local_proofs);
+  sched::PropertyTask task(
+      ts_, prop,
+      opts_.local_proofs ? sched::local_assumptions(ts_, prop)
+                         : std::vector<std::size_t>{},
+      opts_, opts_.local_proofs);
   while (task.open()) task.run_slice(sched::TaskBudget{}, db);
   return std::move(task.result());
 }

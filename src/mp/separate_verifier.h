@@ -16,8 +16,6 @@
 #ifndef JAVER_MP_SEPARATE_VERIFIER_H
 #define JAVER_MP_SEPARATE_VERIFIER_H
 
-#include <vector>
-
 #include "mp/clause_db.h"
 #include "mp/report.h"
 #include "mp/sched/engine_options.h"
@@ -46,9 +44,6 @@ class SeparateVerifier {
   PropertyResult verify_one(std::size_t prop, ClauseDb* db = nullptr);
 
  private:
-  // Assumption set for target `prop`: every ETH property except the target.
-  std::vector<std::size_t> assumptions_for(std::size_t prop) const;
-
   const ts::TransitionSystem& ts_;
   SeparateOptions opts_;
 };

@@ -1,12 +1,11 @@
-// ShardedScheduler: cluster-sharded orchestration on top of the property
-// scheduler (mp/sched). `cluster_properties` partitions the properties by
-// cone similarity; every cluster becomes a *shard* owning its own
-// PropertyTask pool, its own ClauseDb shard, and (for the hybrid policy)
-// its own shared-unrolling BmcSweep, so structurally related properties
-// share work and unrelated ones never contend for it. Shards are
-// load-balanced across the work-stealing WorkerPool in rounds: first one
-// pool pass runs every live shard's BMC sweep, then a second pass slices
-// every open IC3 task — tasks of a slow shard never hold up the rest.
+// ShardedScheduler: cluster-sharded orchestration, an option preset over
+// the one property scheduler (mp/sched). `cluster_properties` partitions
+// the properties by cone similarity after the simulation prefilter; every
+// cluster becomes a *shard* owning its own PropertyTask pool, its own
+// ClauseDb shard, and (for the hybrid policy) its own shared-unrolling
+// BmcSweep, so structurally related properties share work and unrelated
+// ones never contend for it. The unsharded Scheduler is the same run
+// logic over the trivial one-shard partition.
 //
 // The shards are stitched together by the LemmaBus (mp/exchange): a
 // sweep's learned prefix units seed its shard's IC3 tasks' F_inf (after
@@ -18,14 +17,12 @@
 // flip a verdict (tests/test_shard.cpp proves this against exchange-off
 // oracle runs).
 //
-// ClusteredJointVerifier (mp/clustering.h) is a thin preset over this
-// class (JointAggregate dispatch per shard), the same way the four legacy
-// verifiers are presets over the Scheduler.
+// ClusteredJointVerifier (mp/clustering.h) is a preset over this class
+// (JointAggregate dispatch per shard).
 #ifndef JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 #define JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 
 #include <cstddef>
-#include <vector>
 
 #include "mp/clause_db.h"
 #include "mp/clustering.h"
@@ -36,7 +33,10 @@
 
 namespace javer::mp::shard {
 
-struct ShardedOptions {
+// The `sched::Sharding` fields: `clustering`, `exchange` (default Units)
+// and `time_limit_per_shard` (JointAggregate dispatch only: the clustered
+// baseline's time_limit_per_cluster).
+struct ShardedOptions : sched::Sharding {
   // `base.dispatch` selects the within-shard policy: HybridBmcIc3
   // (default here: shared BMC sweep + IC3 slices per shard),
   // RunToCompletion, or JointAggregate (one aggregate IC3 per shard —
@@ -44,11 +44,6 @@ struct ShardedOptions {
   // pool the shards' work items are balanced across; the hybrid knobs
   // apply per shard.
   sched::SchedulerOptions base;
-  ClusterOptions clustering;
-  exchange::ExchangeMode exchange = exchange::ExchangeMode::Units;
-  // JointAggregate dispatch only: per-shard time limit (the clustered
-  // baseline's time_limit_per_cluster).
-  double time_limit_per_shard = 0.0;
 };
 
 class ShardedScheduler {
@@ -62,25 +57,12 @@ class ShardedScheduler {
 
   // Post-run introspection (bench / CLI metrics).
   const exchange::ExchangeStats& exchange_stats() const {
-    return exchange_stats_;
+    return scheduler_.exchange_stats();
   }
-  std::size_t num_shards() const { return num_shards_; }
+  std::size_t num_shards() const { return scheduler_.num_shards(); }
 
  private:
-  MultiResult run_tasks(ClauseDb* external);
-  MultiResult run_joint();
-  unsigned effective_threads() const;
-  // Cluster partition under `copts` (the caller may have added simulation
-  // signatures to the configured options) with each cluster's members
-  // ordered by the engine order option (design order by default).
-  std::vector<std::vector<std::size_t>> make_clusters(
-      const ClusterOptions& copts,
-      std::size_t* signature_merges = nullptr) const;
-
-  const ts::TransitionSystem& ts_;
-  ShardedOptions opts_;
-  std::size_t num_shards_ = 0;
-  exchange::ExchangeStats exchange_stats_;
+  sched::Scheduler scheduler_;
 };
 
 }  // namespace javer::mp::shard

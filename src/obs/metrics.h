@@ -53,7 +53,7 @@ class MetricsRegistry {
   void add(std::string_view name, std::uint64_t delta = 1);
   // Monotonic counter fed from an external cumulative total: keeps the
   // max of the current value and `value`, so re-folding the same
-  // source (e.g. Tracer::dropped_events() from nested schedulers) is
+  // source (e.g. Tracer::dropped_events() from repeated runs) is
   // idempotent instead of double-counting.
   void raise(std::string_view name, std::uint64_t value);
   // Gauge updates: accumulate a double total, overwrite, or keep-max.

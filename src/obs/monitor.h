@@ -65,9 +65,6 @@ class TaskProgress {
   long long property() const { return property_; }
 
   // --- publisher side (task / engine threads) ---
-  void set_shard(int shard) {
-    shard_.store(shard, std::memory_order_relaxed);
-  }
   void set_state(ProgressState s);  // also touches
   void set_frames(int frames) {
     frames_.store(frames, std::memory_order_relaxed);

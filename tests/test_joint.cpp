@@ -86,6 +86,36 @@ TEST(Joint, TimeLimitLeavesUnknown) {
   EXPECT_GE(result.num_unsolved(), 1u);
 }
 
+TEST(Joint, OrderDoesNotApplyToTheAggregate) {
+  // The aggregate conjoins every property in design order: a partial or
+  // permuted engine order leaves the run, its work included, unchanged.
+  gen::RandomDesignSpec spec;
+  spec.seed = 203;
+  spec.num_latches = 4;
+  spec.num_inputs = 2;
+  spec.num_ands = 18;
+  spec.num_properties = 4;
+  aig::Aig aig = gen::make_random_design(spec);
+  ts::TransitionSystem ts(aig);
+  MultiResult plain = JointVerifier(ts).run();
+  for (const std::vector<std::size_t>& order :
+       {std::vector<std::size_t>{2}, std::vector<std::size_t>{3, 1, 0, 2}}) {
+    JointOptions opts;
+    opts.order = order;
+    MultiResult r = JointVerifier(ts, opts).run();
+    ASSERT_EQ(r.per_property.size(), plain.per_property.size());
+    std::uint64_t props = 0, plain_props = 0;
+    for (std::size_t p = 0; p < r.per_property.size(); ++p) {
+      EXPECT_EQ(r.per_property[p].verdict, plain.per_property[p].verdict)
+          << "order size " << order.size() << " prop " << p;
+      EXPECT_NE(r.per_property[p].verdict, PropertyVerdict::Unknown);
+      props += r.per_property[p].engine_stats.sat_propagations;
+      plain_props += plain.per_property[p].engine_stats.sat_propagations;
+    }
+    EXPECT_EQ(props, plain_props) << "order size " << order.size();
+  }
+}
+
 TEST(Joint, AllTrueSolvedInOneIteration) {
   gen::RandomDesignSpec spec;
   spec.seed = 42;

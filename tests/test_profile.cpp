@@ -16,6 +16,7 @@
 
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
+#include "mp/joint_verifier.h"
 #include "mp/sched/scheduler.h"
 #include "mp/shard/sharded_scheduler.h"
 #include "obs/profile.h"
@@ -328,6 +329,26 @@ TEST(ProfileEndToEnd, ShardedRunTagsSlotsPerShardAndReconciles) {
     }
   }
   EXPECT_TRUE(saw_ic3_slot);
+}
+
+TEST(ProfileEndToEnd, JointRunRecordsAggregateEngineQueries) {
+  // The aggregate (Jnt-ver) engines take the same profiler hook as the
+  // task engines: their queries land in run-level (untagged) slots and
+  // reconcile with the iterations' engine stats.
+  aig::Aig aig = gen::make_synthetic(small_multi_cone());
+  ts::TransitionSystem ts(aig);
+
+  obs::PhaseProfiler profiler;
+  mp::JointOptions jo;
+  jo.profiler = &profiler;
+  mp::MultiResult r = mp::JointVerifier(ts, jo).run();
+
+  EXPECT_GT(profiler.phase_count("ic3/consecution"), 0u);
+  expect_profile_reconciles(profiler, r);
+  for (const obs::PhaseProfiler::SlotView& v : profiler.slots()) {
+    EXPECT_EQ(v.shard, -1) << v.phase;
+    EXPECT_EQ(v.property, -1) << v.phase;
+  }
 }
 
 TEST(ProfileEndToEnd, UnprofiledRunLeavesABystanderProfilerEmpty) {

@@ -13,6 +13,7 @@
 #include "ic3/ic3.h"
 #include "mp/sched/property_task.h"
 #include "mp/sched/scheduler.h"
+#include "mp/shard/sharded_scheduler.h"
 #include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
@@ -187,6 +188,47 @@ TEST(Scheduler, RespectsTotalTimeLimit) {
   EXPECT_LT(timer.seconds(), 5.0);
   // Every property still gets a (possibly Unknown) verdict slot.
   EXPECT_EQ(r.per_property.size(), ts.num_properties());
+}
+
+TEST(Scheduler, TasksTheBudgetNeverStartsStillClose) {
+  // RunToCompletion whose total budget is gone before the first task
+  // starts: every task must still close exactly once, as Unknown, both in
+  // the trivial partition and in the clustered one.
+  gen::SyntheticSpec spec;
+  spec.seed = 92;
+  spec.wrap_counter_bits = 16;
+  spec.rings = 2;
+  spec.ring_size = 8;
+  spec.ring_props = 16;
+  spec.pair_props = 8;
+  spec.unreachable_props = 8;
+  aig::Aig aig = gen::make_synthetic(spec);
+  ts::TransitionSystem ts(aig);
+  ASSERT_EQ(ts.num_properties(), 32u);
+
+  for (bool sharded : {false, true}) {
+    obs::MetricsRegistry metrics;
+    SchedulerOptions so;
+    so.proof_mode = ProofMode::Local;
+    so.dispatch = DispatchPolicy::RunToCompletion;
+    so.engine.total_time_limit = 1e-6;
+    so.engine.metrics = &metrics;
+    MultiResult r;
+    if (sharded) {
+      shard::ShardedOptions sh;
+      sh.base = so;
+      r = shard::ShardedScheduler(ts, sh).run();
+    } else {
+      r = Scheduler(ts, so).run();
+    }
+    EXPECT_EQ(metrics.counter("task.closed"), ts.num_properties())
+        << (sharded ? "sharded" : "unsharded");
+    ASSERT_EQ(r.per_property.size(), ts.num_properties());
+    for (std::size_t p = 0; p < r.per_property.size(); ++p) {
+      EXPECT_EQ(r.per_property[p].verdict, PropertyVerdict::Unknown)
+          << (sharded ? "sharded P" : "unsharded P") << p;
+    }
+  }
 }
 
 // --- IC3 suspend/resume ----------------------------------------------------

@@ -375,6 +375,89 @@ TEST(Sharded, ExchangeMatchesExchangeOffOnSyntheticFamily) {
   }
 }
 
+TEST(Sharded, OneClusterRunDoesExactlyTheHybridSchedulersWork) {
+  // The unsharded scheduler is the one-shard partition: a sharded run
+  // whose clustering puts every property into one cluster, with exchange
+  // off, must reach the hybrid Scheduler's verdicts with exactly its SAT
+  // work. Conflict-bounded slices keep both runs deterministic.
+  gen::SyntheticSpec spec;
+  spec.seed = 93;
+  spec.wrap_counter_bits = 10;
+  spec.rings = 2;
+  spec.ring_size = 5;
+  spec.ring_props = 6;
+  spec.pair_props = 2;
+  spec.unreachable_props = 2;
+  spec.det_fail_props = 1;
+  spec.input_fail_props = 1;
+  spec.masked_fail_props = 1;
+  aig::Aig aig = gen::make_synthetic(spec);
+  ts::TransitionSystem ts(aig);
+
+  ShardedOptions so = sharded_opts(exchange::ExchangeMode::Off);
+  so.base.num_threads = 1;
+  so.base.ic3_slice_seconds = 0.0;
+  so.base.ic3_slice_conflicts = 20;
+  so.clustering.min_similarity = 0.0;
+  so.clustering.max_cluster_size = ts.num_properties();
+  ShardedScheduler sharded(ts, so);
+  MultiResult one_shard = sharded.run();
+  ASSERT_EQ(sharded.num_shards(), 1u);
+  MultiResult hybrid = sched::Scheduler(ts, so.base).run();
+
+  ASSERT_EQ(one_shard.per_property.size(), hybrid.per_property.size());
+  ic3::Ic3Stats a, b;
+  for (std::size_t p = 0; p < hybrid.per_property.size(); ++p) {
+    EXPECT_EQ(one_shard.per_property[p].verdict,
+              hybrid.per_property[p].verdict)
+        << "P" << p;
+    const ic3::Ic3Stats& sa = one_shard.per_property[p].engine_stats;
+    const ic3::Ic3Stats& sb = hybrid.per_property[p].engine_stats;
+    a.sat_propagations += sa.sat_propagations;
+    a.sat_conflicts += sa.sat_conflicts;
+    a.consecution_queries += sa.consecution_queries;
+    b.sat_propagations += sb.sat_propagations;
+    b.sat_conflicts += sb.sat_conflicts;
+    b.consecution_queries += sb.consecution_queries;
+  }
+  EXPECT_GT(b.sat_propagations, 0u);
+  EXPECT_EQ(a.sat_propagations, b.sat_propagations);
+  EXPECT_EQ(a.sat_conflicts, b.sat_conflicts);
+  EXPECT_EQ(a.consecution_queries, b.consecution_queries);
+}
+
+TEST(Sharded, CallerSignaturesJoinTheClusteringWithoutThePrefilter) {
+  // Disjoint ring cones cluster into singletons; equal nonzero signatures
+  // set by the caller union them into one shard even though no prefilter
+  // runs, for the task and the aggregate policies alike.
+  gen::SyntheticSpec spec;
+  spec.seed = 21;
+  spec.rings = 3;
+  spec.ring_size = 5;
+  spec.ring_props = 3;
+  spec.pair_props = 0;
+  spec.unreachable_props = 0;
+  spec.shuffle_properties = false;
+  aig::Aig aig = gen::make_synthetic(spec);
+  ts::TransitionSystem ts(aig);
+  for (sched::DispatchPolicy dispatch :
+       {sched::DispatchPolicy::HybridBmcIc3,
+        sched::DispatchPolicy::JointAggregate}) {
+    ShardedOptions so = sharded_opts(exchange::ExchangeMode::Off);
+    so.base.dispatch = dispatch;
+    so.clustering.min_similarity = 0.1;
+    so.clustering.max_cluster_size = ts.num_properties();
+    ShardedScheduler structural(ts, so);
+    structural.run();
+    EXPECT_EQ(structural.num_shards(), 3u);
+    so.clustering.signatures.assign(ts.num_properties(), 7);
+    ShardedScheduler merged(ts, so);
+    MultiResult r = merged.run();
+    EXPECT_EQ(merged.num_shards(), 1u);
+    EXPECT_EQ(r.num_unsolved(), 0u);
+  }
+}
+
 TEST(Sharded, RunToCompletionDispatchMatchesOracle) {
   gen::RandomDesignSpec spec;
   spec.seed = 731;

@@ -19,6 +19,11 @@ What is gated is deliberately machine-speed independent:
     for run-to-completion configs; time-budgeted configs (all of
     table02, table11's clustered-joint) depend on machine speed and are
     skipped;
+  * row work: sat_propagations / sat_conflicts / max_frames must match
+    exactly wherever verdicts are gated — every gated row is a
+    single-thread config whose counters repeat run to run and across
+    Release and Debug builds. This is what holds a refactor to "identical
+    work"; a change that moves these counters on purpose re-baselines;
   * metrics: per-metric rules — "exact" for deterministic counts,
     "min" for traffic counters that must stay nonzero; `seconds` /
     rates are never gated.
@@ -43,6 +48,7 @@ import sys
 import tempfile
 
 VERDICT_KEYS = ("num_false", "num_true", "num_unsolved", "debug_set")
+WORK_KEYS = ("sat_propagations", "sat_conflicts", "max_frames")
 
 # Per-table gating policy. Tables not listed gate shapes only (the safe
 # default for a new bench until its determinism is understood).
@@ -125,7 +131,7 @@ def diff_table(table, baseline, fresh, policy=None):
             if got is None:
                 problems.append(f"row disappeared: {key[0]}/{key[1]}")
                 continue
-            for field in VERDICT_KEYS:
+            for field in VERDICT_KEYS + WORK_KEYS:
                 if got.get(field) != row.get(field):
                     problems.append(
                         f"row {key[0]}/{key[1]}: {field} changed "
@@ -262,6 +268,21 @@ def self_test():
     missing_row = json.loads(json.dumps(baseline))
     missing_row["rows"] = [budget_row]
     expect("disappeared row", missing_row, True)
+
+    # Work counters are exact on every gated row...
+    for key in ("sat_propagations", "sat_conflicts", "max_frames"):
+        more_work = json.loads(json.dumps(baseline))
+        more_work["rows"][0][key] += 1
+        expect(f"changed {key}", more_work, True)
+    less_work = json.loads(json.dumps(baseline))
+    less_work["rows"][0]["sat_propagations"] -= 1
+    expect("lower sat_propagations", less_work, True)
+    # ...and free everywhere else: seconds and skipped configs may drift.
+    free_work = json.loads(json.dumps(baseline))
+    free_work["rows"][0]["seconds"] = 3.0
+    free_work["rows"][0]["simp_vars_eliminated"] = 5
+    free_work["rows"][1]["sat_propagations"] += 1
+    expect("ungated work drift", free_work, False)
 
     # A min-gated metric at zero is a regression; so is losing it.
     dead_bus = json.loads(json.dumps(baseline))
