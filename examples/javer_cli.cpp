@@ -155,12 +155,10 @@ void usage(std::FILE* out) {
 "                         (default: 0.5)\n"
 "  --max-cluster-size N   cap on properties per cluster; oversized\n"
 "                         would-be clusters split    (default: 64)\n"
-"  --lemma-exchange M     sharded only: off | units | all\n"
+"  --lemma-exchange M     sharded only: off | units\n"
 "                           off    no cross-engine traffic\n"
-"                           units  BMC prefix units seed sibling IC3\n"
+"                           units  BMC prefix units seed the shard's IC3\n"
 "                                  tasks' F_inf (re-validated in-engine)\n"
-"                           all    units + IC3 strengthenings to sibling\n"
-"                                  tasks and back into the shard's BMC\n"
 "                         (default: units)\n"
 "\n"
 "strategy knobs:\n"
@@ -210,19 +208,18 @@ void usage(std::FILE* out) {
 "  --trace-out FILE     write a Chrome trace-event JSON timeline of the\n"
 "                       run (scheduler rounds, per-slice IC3 spans, BMC\n"
 "                       sweeps, lemma exchange, persist I/O) — load it in\n"
-"                       chrome://tracing or https://ui.perfetto.dev. Not\n"
-"                       supported for the clustered engine.\n"
+"                       chrome://tracing or https://ui.perfetto.dev\n"
 "  --metrics-out FILE   write the run's counter registry as JSONL: one\n"
 "                       \"heartbeat\" snapshot per scheduler round plus a\n"
-"                       \"final\" line. Not supported for clustered.\n"
+"                       \"final\" line\n"
 "  --profile-out FILE   write per-(phase, shard, property) latency\n"
 "                       histograms (IC3 SAT queries by kind, BMC solves,\n"
 "                       template replay vs cold encode, persist I/O) as\n"
-"                       JSON. Not supported for clustered.\n"
+"                       JSON\n"
 "  --profile-folded FILE  same data as folded-stack lines for\n"
 "                       flamegraph.pl / speedscope\n"
 "\n"
-"run-health monitor (not for clustered):\n"
+"run-health monitor:\n"
 "  --progress[=SECS]    print a one-line progress report on stderr every\n"
 "                       SECS seconds (default: 5) plus a final summary\n"
 "  --progress-verbose   progress plus per-task rows, stalest first\n"
@@ -370,7 +367,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       auto mode = javer::mp::exchange::parse_exchange_mode(v);
       if (!mode) {
         std::fprintf(stderr,
-                     "javer_cli: --lemma-exchange wants off|units|all, "
+                     "javer_cli: --lemma-exchange wants off|units, "
                      "got '%s'\n", v);
         return false;
       }
@@ -577,20 +574,6 @@ int main(int argc, char** argv) {
   }
   if (design.num_properties() == 0) {
     std::fprintf(stderr, "javer_cli: design has no properties\n");
-    return 3;
-  }
-
-  if ((!cli.trace_out.empty() || !cli.metrics_out.empty() ||
-       !cli.profile_out.empty() || !cli.profile_folded.empty() ||
-       cli.progress || cli.watchdog_preempt) &&
-      cli.engine == "clustered") {
-    // ClusteredJointOptions predates EngineOptions and has no
-    // observability plumbing; fail loudly instead of writing empty files
-    // (or monitoring a run that publishes nothing).
-    std::fprintf(stderr,
-                 "javer_cli: --trace-out/--metrics-out/--profile-out/"
-                 "--profile-folded/--progress/--watchdog-preempt are not "
-                 "supported with --engine clustered\n");
     return 3;
   }
 
@@ -846,6 +829,10 @@ int main(int argc, char** argv) {
     opts.simplify = cli.simplify;
     opts.ic3_solver = cli.ic3_solver;
     opts.ic3_use_template = cli.ic3_template;
+    opts.tracer = tracer_ptr;
+    opts.metrics = metrics_ptr;
+    opts.progress = board_ptr;
+    opts.profiler = profiler_ptr;
     opts.clustering.min_similarity = cli.cluster_threshold;
     opts.clustering.max_cluster_size = cli.max_cluster_size;
     result = mp::ClusteredJointVerifier(ts, opts).run();

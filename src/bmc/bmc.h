@@ -73,7 +73,7 @@ class Bmc {
   BmcResult run(const std::vector<std::size_t>& targets,
                 const BmcOptions& opts = {});
 
-  // --- cross-engine lemma exchange (mp/exchange) ---
+  // --- lemma exchange (mp/exchange): the BMC→IC3 unit source ---
 
   // Singleton *candidate* invariant cubes mined from the solver's root
   // facts: a latch literal fixed at decision level 0 in some step
@@ -84,21 +84,11 @@ class Bmc {
   // is returned at most once per Bmc lifetime.
   std::vector<ts::Cube> prefix_unit_candidates(int max_step);
 
-  // Asserts ¬cube at every unrolling step, current and future. Sound only
-  // for cubes whose negation is invariant under (a subset of) the assumed
-  // sets this instance's run() calls use — the caller guarantees that;
-  // nothing is re-validated here. Returns how many cubes were new.
-  std::size_t add_invariant_cubes(const std::vector<ts::Cube>& cubes);
-
   const sat::SolverStats& solver_stats() const { return solver_.stats(); }
   const sat::simp::SimpStats& simp_stats() const { return pre_.stats(); }
 
  private:
   void make_next_frame();
-  // Asserts ¬cube over `frame`'s latch literals (through the
-  // preprocessor, with the literals frozen, so simplify mode stays sound).
-  void assert_invariant_clause(cnf::Encoder::Frame& frame,
-                               const ts::Cube& cube);
   // Simplify mode: encodes every cone of `frame` (next-state functions,
   // all properties, constraints) into the pending batch, freezes the cone
   // roots plus the frame's latch/input literals, and flushes the batch
@@ -112,10 +102,7 @@ class Bmc {
   sat::simp::Preprocessor pre_;  // sits between the encoder and the solver
   cnf::Encoder encoder_;
   std::vector<cnf::Encoder::Frame> frames_;
-  // Imported invariant cubes, re-asserted on every new frame; `seen`
-  // dedups imports, `mined` dedups prefix_unit_candidates exports.
-  std::vector<ts::Cube> invariant_cubes_;
-  std::set<ts::Cube> invariant_seen_;
+  // Dedups prefix_unit_candidates exports across the instance's life.
   std::set<ts::Cube> mined_units_;
 };
 

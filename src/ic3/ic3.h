@@ -206,11 +206,12 @@ class Ic3 {
   // so arbitrary (even unsound) candidates can never flip a verdict.
   void add_lemma_candidates(std::vector<ts::Cube> cubes);
 
-  // F_inf cubes proven since the last call (validated seeds, promoted
-  // obligations, accepted lemmas) — the engine's outgoing lemma traffic.
-  // Each is invariant under this engine's assumption set. Empty until
-  // seed validation has run.
-  std::vector<ts::Cube> take_new_inf_lemmas();
+  // F_inf in insertion order: validated seeds, mined singletons, promoted
+  // obligations, accepted lemmas. Each is invariant under this engine's
+  // assumption set. After seed validation the vector only grows, so a
+  // caller can take the cubes a slice added as the suffix past the
+  // previous size.
+  const std::vector<ts::Cube>& inf_lemmas() const { return inf_cubes_; }
 
  private:
   struct Timeout {};  // internal control-flow signal: hard budget expiry
@@ -422,7 +423,6 @@ class Ic3 {
   // equal size means the same formula and hence the same answer.
   static constexpr std::uint32_t kLive = ~std::uint32_t{0};
   std::vector<std::uint32_t> unit_stamps_;
-  std::size_t inf_exported_ = 0;  // take_new_inf_lemmas cursor
 
   std::vector<Obligation> pool_;
   // Min-heap entries: (frame, insertion order, pool index).

@@ -108,10 +108,7 @@ MultiResult ClusteredJointVerifier::run() {
   so.base.dispatch = sched::DispatchPolicy::JointAggregate;
   so.base.proof_mode = sched::ProofMode::Global;
   so.base.num_threads = 1;
-  so.base.engine.total_time_limit = opts_.total_time_limit;
-  so.base.engine.simplify = opts_.simplify;
-  so.base.engine.ic3_solver = opts_.ic3_solver;
-  so.base.engine.ic3_use_template = opts_.ic3_use_template;
+  so.base.engine = opts_;
   so.clustering = opts_.clustering;
   so.time_limit_per_shard = opts_.time_limit_per_cluster;
   so.exchange = exchange::ExchangeMode::Off;

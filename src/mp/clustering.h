@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "ic3/solver_mode.h"
 #include "mp/report.h"
+#include "mp/sched/engine_options.h"
 #include "ts/transition_system.h"
 
 namespace javer::mp {
@@ -37,16 +37,12 @@ std::vector<std::vector<std::size_t>> cluster_properties(
     const ts::TransitionSystem& ts, const ClusterOptions& opts = {},
     std::size_t* signature_merges = nullptr);
 
-struct ClusteredJointOptions {
+// The shared engine knobs live in the sched::EngineOptions base, as for
+// JointOptions (clause re-use, per-property limits and order do not apply
+// to the aggregate runs).
+struct ClusteredJointOptions : sched::EngineOptions {
   ClusterOptions clustering;
-  double total_time_limit = 0.0;
   double time_limit_per_cluster = 0.0;
-  // Preprocess each IC3 context's transition-relation CNF (sat/simp/).
-  bool simplify = false;
-  // IC3 solver topology + encode-once template (ic3/solver_mode.h,
-  // cnf/template.h), forwarded to each cluster's aggregate engine.
-  ic3::Ic3SolverMode ic3_solver = ic3::Ic3SolverMode::Monolithic;
-  bool ic3_use_template = true;
 };
 
 // The grouping baseline: joint verification per cluster (each cluster's

@@ -212,10 +212,4 @@ std::vector<ts::Cube> BmcSweep::harvest_unit_candidates() {
   return bmc_.prefix_unit_candidates(depth_done_ - 1);
 }
 
-std::size_t BmcSweep::install_invariant_cubes(
-    const std::vector<ts::Cube>& cubes) {
-  if (exhausted_ || cubes.empty()) return 0;
-  return bmc_.add_invariant_cubes(cubes);
-}
-
 }  // namespace javer::mp::sched

@@ -3,10 +3,9 @@
 // window, with the "just assume" constraints asserted on every completed
 // bound. The Scheduler owns one sweep per shard of its partition (a single
 // untagged sweep for the trivial partition) and runs them in the first
-// pool pass of each round. A sweep is also the BMC endpoint of the
-// cross-engine lemma exchange (mp/exchange): learned prefix units flow
-// out as candidates, proven IC3 strengthenings flow back in as permanent
-// unrolling clauses.
+// pool pass of each round. A sweep is also the source of the lemma
+// exchange (mp/exchange): the units it learns about the unrolling prefix
+// flow out to the shard's IC3 tasks as candidates.
 #ifndef JAVER_MP_SCHED_BMC_SWEEP_H
 #define JAVER_MP_SCHED_BMC_SWEEP_H
 
@@ -51,18 +50,12 @@ class BmcSweep {
     seeds_.clear();
   }
   int depth_done() const { return depth_done_; }
-  const std::vector<std::size_t>& assumed() const { return assumed_; }
 
-  // --- lemma exchange endpoints (mp/exchange) ---
+  // --- lemma exchange source (mp/exchange) ---
 
   // Candidate invariant cubes mined from the solver's root-level facts
   // about the completed prefix. Candidates only: consumers re-validate.
   std::vector<ts::Cube> harvest_unit_candidates();
-
-  // Asserts ¬cube at every unrolling step. Sound only for cubes invariant
-  // under a subset of this sweep's assumed set — the shard layer checks
-  // that before calling. No-op once the sweep is exhausted.
-  std::size_t install_invariant_cubes(const std::vector<ts::Cube>& cubes);
 
   // --- near-miss prefix seeding (mp/simfilter, Full mode) ---
 

@@ -135,9 +135,10 @@ class PropertyTask {
   bool has_engine() const { return engine_ != nullptr; }
 
   // Subscribes this task to `shard`'s channel on `bus` (the sharded
-  // scheduler's lemma exchange): every slice first feeds newly published
-  // lemmas into the engine as candidates and afterwards publishes the
-  // engine's fresh F_inf cubes. Call before the first slice.
+  // scheduler's lemma exchange): every slice first feeds the units the
+  // shard's BMC sweep published since the last slice into the engine as
+  // candidates, and afterwards reports the engine's re-validation
+  // outcome back to the bus. Call before the first slice.
   void attach_exchange(exchange::LemmaBus* bus, std::size_t shard);
 
   // Points this task's engine at a shared transition-relation template

@@ -283,7 +283,6 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
     int tag = -1;  // trace/profile/progress shard tag; -1 = unsharded
     std::vector<std::unique_ptr<PropertyTask>> tasks;
     std::unique_ptr<BmcSweep> sweep;
-    exchange::LemmaBus::Cursor bmc_cursor;
   };
   std::vector<Shard> shards(clusters.size());
   std::vector<int> shard_of(ts_.num_properties(), -1);
@@ -339,24 +338,6 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
     }
     return open;
   };
-  // A producing engine's F_inf lemmas are invariant relative to traces
-  // whose non-final steps satisfy the engine's *target* property and its
-  // assumed set (the frame solvers' path constraint asserts both).
-  // Installing one into a sweep's unrolling is sound only when the sweep
-  // asserts at least that much on its prefix — true for every non-ETF
-  // local producer (its target ∪ assumptions is exactly the sweep's
-  // assumed set), false for ETF producers and in global mode, which this
-  // filter rejects.
-  auto producer_compatible = [&](std::size_t producer,
-                                 const BmcSweep& sweep) {
-    if (producer == exchange::kBmcProducer) return true;
-    std::vector<std::size_t> under = assumptions_for(producer);
-    under.push_back(producer);
-    std::sort(under.begin(), under.end());
-    return std::includes(sweep.assumed().begin(), sweep.assumed().end(),
-                         under.begin(), under.end());
-  };
-
   if (!hybrid) {  // RunToCompletion: every task drains on the pool
     // With one thread the pool drains on the caller in index order, so
     // this is also the classic sequential separate/JA loop.
@@ -377,7 +358,7 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
       }
       if (live.empty()) break;
 
-      // Pass 1: per-shard BMC sweeps plus the sweeps' bus traffic.
+      // Pass 1: per-shard BMC sweeps, each publishing its prefix units.
       pool.run(live.size(), [&](std::size_t i) {
         Shard& s = *live[i];
         // Recompute the remaining budget per item: with fewer workers
@@ -386,38 +367,13 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
         if (out_of_time()) return;
         double remaining =
             total_limit > 0 ? total_limit - total.seconds() : 0.0;
-        // An exhausted sweep can neither find failures nor use or
-        // produce lemmas; skip its exchange traffic entirely. (The
-        // harvest below still runs on the round the sweep exhausts.)
+        // An exhausted sweep can neither find failures nor produce
+        // units; skip its bus traffic. (The harvest still runs on the
+        // round the sweep exhausts.)
         const bool exchange = bus.enabled() && !s.sweep->exhausted();
         try {
-          if (exchange) {
-            std::vector<exchange::Lemma> lemmas =
-                bus.poll(s.id, s.bmc_cursor,
-                         exchange::LemmaKind::Ic3Strengthening,
-                         exchange::kBmcProducer);
-            if (!lemmas.empty()) {
-              std::vector<ts::Cube> cubes;
-              cubes.reserve(lemmas.size());
-              for (exchange::Lemma& l : lemmas) {
-                if (producer_compatible(l.producer, *s.sweep)) {
-                  cubes.push_back(std::move(l.cube));
-                }
-              }
-              std::size_t installed = s.sweep->install_invariant_cubes(cubes);
-              // Incompatible producers are rejections; compatible lemmas
-              // the unrolling already had (or could no longer use) are
-              // redundant deliveries.
-              bus.record_import(s.id, installed, lemmas.size() - cubes.size(),
-                                cubes.size() - installed);
-            }
-          }
           s.sweep->sweep(open_in(s), remaining);
-          if (exchange) {
-            bus.publish(s.id, exchange::LemmaKind::BmcUnit,
-                        exchange::kBmcProducer,
-                        s.sweep->harvest_unit_candidates());
-          }
+          if (exchange) bus.publish(s.id, s.sweep->harvest_unit_candidates());
         } catch (const std::exception& e) {
           // A sweep failure is quarantined to its shard: mark the sweep
           // exhausted and let the shard's IC3 tasks finish on their own.
@@ -483,7 +439,6 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
     if (metrics != nullptr) {
       metrics->add("exchange.published", exchange_stats_.published);
       metrics->add("exchange.duplicates", exchange_stats_.duplicates);
-      metrics->add("exchange.mode_filtered", exchange_stats_.mode_filtered);
       metrics->add("exchange.delivered", exchange_stats_.delivered);
       metrics->add("exchange.imported", exchange_stats_.imported);
       metrics->add("exchange.rejected", exchange_stats_.rejected);

@@ -23,7 +23,9 @@
 //  * HybridBmcIc3 — rounds of two pool passes: every live shard's BMC
 //    falsification sweep (one incremental unrolling, "just assume"
 //    constraints on the prefix), then one IC3 budget slice per open task,
-//    shard-agnostic, so a slow shard never holds up the rest.
+//    shard-agnostic, so a slow shard never holds up the rest. With lemma
+//    exchange on, each sweep publishes its prefix units to its shard's
+//    IC3 tasks, which re-validate them as F_inf candidates.
 //    Failing-heavy workloads (the paper's Tables III/V/VIII substrate)
 //    die cheaply in the BMC sweeps before IC3 spends anything on them;
 //    the surviving properties get proven by the sliced IC3 engines,
@@ -86,8 +88,9 @@ struct SchedulerOptions {
 
 // A cluster-sharded run (what mp::shard's ShardedScheduler passes): one
 // shard per cone-similarity cluster (mp/clustering.h), members ranked by
-// the engine order option. `exchange` selects each shard's LemmaBus
-// traffic (task policies); `time_limit_per_shard` bounds each shard's
+// the engine order option. `exchange` selects whether each shard's BMC
+// sweep publishes its prefix units to the shard's IC3 tasks (hybrid
+// policy); `time_limit_per_shard` bounds each shard's
 // aggregate loop (JointAggregate; 0 = total budget only).
 struct Sharding {
   ClusterOptions clustering;

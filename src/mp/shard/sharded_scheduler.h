@@ -7,15 +7,13 @@
 // ones never contend for it. The unsharded Scheduler is the same run
 // logic over the trivial one-shard partition.
 //
-// The shards are stitched together by the LemmaBus (mp/exchange): a
-// sweep's learned prefix units seed its shard's IC3 tasks' F_inf (after
-// in-engine re-validation), and proven IC3 strengthenings flow back into
-// the shard's BMC unrolling and to sibling tasks. Each shard has its own
-// channel — the subscription filter that keeps lemmas from crossing
-// cluster boundaries — and the assumed-set compatibility of every
-// BMC-bound lemma is checked before installation, so exchange can never
-// flip a verdict (tests/test_shard.cpp proves this against exchange-off
-// oracle runs).
+// Within a shard, the LemmaBus (mp/exchange) carries the sweep's learned
+// prefix units to the shard's IC3 tasks as F_inf candidates, which each
+// engine re-validates before use. Each shard has its own channel, so no
+// lemma crosses a cluster boundary, and exchange can never flip a verdict
+// (tests/test_shard.cpp checks this against exchange-off and oracle
+// runs). Proofs are shared between the shard's tasks through its
+// ClauseDb, the paper's clause re-use channel.
 //
 // ClusteredJointVerifier (mp/clustering.h) is a preset over this class
 // (JointAggregate dispatch per shard).

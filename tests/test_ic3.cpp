@@ -291,8 +291,7 @@ TEST(Ic3, DeliveredUnitIsRequeriedOnceFinfGrows) {
     EXPECT_EQ(r.stats.lemmas_settled, 1u);
     // One mining query on {a}, then one each for {b, c} and the second {a}.
     EXPECT_EQ(r.stats.consecution_queries, 3u);
-    EXPECT_EQ(engine.take_new_inf_lemmas(),
-              (std::vector<ts::Cube>{pair_bc, unit_a}));
+    EXPECT_EQ(engine.inf_lemmas(), (std::vector<ts::Cube>{pair_bc, unit_a}));
   }
 }
 

@@ -280,7 +280,8 @@ std::uint64_t lemma_total(const Ic3Stats& s) {
 
 // Delivers every init-disjoint unit before the first slice and again after
 // each slice that grew F_inf, and checks each batch's split against a fresh
-// replay over F_inf rebuilt from take_new_inf_lemmas. The conflict slice
+// replay over F_inf rebuilt from each slice's additions (the suffix of
+// Ic3::inf_lemmas past the previous slice's size). The conflict slice
 // starts at one and grows by one per slice: tiny slices maximise the number
 // of batches, and the growth guarantees the run converges.
 void check_delivered_units(std::uint64_t seed, std::size_t latches,
@@ -322,7 +323,7 @@ void check_delivered_units(std::uint64_t seed, std::size_t latches,
       // whatever mining that slice finishes.
       Ic3Budget budget;
       budget.conflict_slice = 1;
-      std::vector<ts::Cube> inf;  // F_inf, rebuilt from the exports
+      std::vector<ts::Cube> inf;  // F_inf, rebuilt from the slice deltas
       Ic3Stats prev;
       bool pending = true;
       int batches = 0;
@@ -333,9 +334,14 @@ void check_delivered_units(std::uint64_t seed, std::size_t latches,
         r = engine.run(budget);
         ASSERT_LT(++slices, 100000) << tag;
         budget.conflict_slice++;
-        const std::vector<ts::Cube> fresh = engine.take_new_inf_lemmas();
+        // No seeds, so F_inf only grows: the slice's cubes are the suffix
+        // past what the previous slices added.
+        const std::vector<ts::Cube>& now = engine.inf_lemmas();
+        ASSERT_LE(inf.size(), now.size()) << tag;
+        const std::vector<ts::Cube> fresh(
+            now.begin() + static_cast<long>(inf.size()), now.end());
         if (pending && lemma_total(r.stats) != lemma_total(prev)) {
-          // The slice's exports: its mined cubes, the batch's imports,
+          // The slice's additions: its mined cubes, the batch's imports,
           // then the main loop's cubes.
           const std::size_t mined =
               r.stats.mined_invariants - prev.mined_invariants;

@@ -103,11 +103,11 @@ TEST(Report, PrintsPerShardExchangeLines) {
   std::ostringstream out;
   print_report(out, ts, r);
   std::string text = out.str();
-  EXPECT_NE(text.find("exchange shard 0: published 4 (+1 dup, 0 filtered), "
+  EXPECT_NE(text.find("exchange shard 0: published 4 (+1 dup), "
                       "delivered 4, imported 3, rejected 1, redundant 0 "
                       "[hit rate 75%]"),
             std::string::npos);
-  EXPECT_NE(text.find("exchange shard 1: published 2 (+0 dup, 0 filtered), "
+  EXPECT_NE(text.find("exchange shard 1: published 2 (+0 dup), "
                       "delivered 2, imported 1, rejected 0, redundant 1 "
                       "[hit rate 50%]"),
             std::string::npos);

@@ -62,8 +62,6 @@ POLICY = {
         "skip_configs": ["clustered-joint"],  # time-budgeted comparison arm
         "metrics": {
             "exchange_delivered": {"mode": "min", "value": 1},
-            "exchange_imported": {"mode": "min", "value": 1},
-            "exchange_busonly_imported": {"mode": "min", "value": 1},
         },
     },
     "table14": {
