@@ -1,7 +1,7 @@
-// Table XI (extension, not from the paper): cluster-sharded scheduling
-// with the cross-engine lemma exchange vs. plain JA-verification and the
-// clustered-joint baseline, on a multi-cone synthetic family (several
-// independent rings + filler + a failing debugging set — the shape where
+// Table XI (extension, not from the paper): cluster-sharded scheduling,
+// with the cross-engine lemma exchange off and on, vs. plain
+// JA-verification, on a multi-cone synthetic family (several independent
+// rings + filler + a failing debugging set — the shape where
 // structure-aware clustering has real partitions to find).
 // Shapes checked:
 //  * the sharded engine reproduces its own exchange-off verdicts exactly
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "mp/clustering.h"
 #include "mp/exchange/lemma_bus.h"
 #include "mp/sched/scheduler.h"
 #include "mp/shard/sharded_scheduler.h"
@@ -98,21 +97,19 @@ int main(int argc, char** argv) {
   bench::BenchJson json("table11");
   bench::print_title(
       "Table XI",
-      "Cluster-sharded scheduling with cross-engine lemma exchange vs. "
-      "JA-verification and the clustered-joint baseline on multi-cone "
-      "designs. #false(#true) counts solved properties.");
+      "Cluster-sharded scheduling, lemma exchange off and on, vs. "
+      "JA-verification on multi-cone designs. #false(#true) counts solved "
+      "properties.");
 
   double prop_limit = bench::budget(2.0);
-  double joint_limit = bench::budget(4.0);
 
-  std::printf("%9s %5s %5s %4s | %-21s | %-21s | %-21s | %-21s\n", "", "", "",
-              "", "JA (reference)", "clustered joint", "sharded (exch off)",
-              "sharded (exch units)");
-  std::printf("%9s %5s %5s %4s | %9s %11s | %9s %11s | %9s %11s | %9s %11s\n",
-              "name", "#lat", "#prop", "#shd", "#f(#t)", "time", "#f(#t)",
-              "time", "#f(#t)", "time", "#f(#t)", "time");
+  std::printf("%9s %5s %5s %4s | %-21s | %-21s | %-21s\n", "", "", "", "",
+              "JA (reference)", "sharded (exch off)", "sharded (exch units)");
+  std::printf("%9s %5s %5s %4s | %9s %11s | %9s %11s | %9s %11s\n", "name",
+              "#lat", "#prop", "#shd", "#f(#t)", "time", "#f(#t)", "time",
+              "#f(#t)", "time");
   std::printf("----------------------------+----------------------+---------"
-              "-------------+----------------------+---------------------\n");
+              "-------------+---------------------\n");
 
   bool exchange_matches_off = true;
   bool sharded_matches_ja = true;
@@ -132,13 +129,6 @@ int main(int argc, char** argv) {
     mp::MultiResult ja_result = mp::sched::Scheduler(ts, ja_opts).run();
     bench::Summary ja = bench::summarize(ja_result);
     bench::record_row(d.name, "ja-reference", ja);
-
-    // Clustered-joint baseline (grouping-only composition).
-    mp::ClusteredJointOptions cj_opts;
-    cj_opts.total_time_limit = joint_limit;
-    bench::Summary cj =
-        bench::summarize(mp::ClusteredJointVerifier(ts, cj_opts).run());
-    bench::record_row(d.name, "clustered-joint", cj);
 
     // Sharded hybrid, exchange off / units.
     auto run_sharded = [&](mp::exchange::ExchangeMode mode,
@@ -187,11 +177,9 @@ int main(int argc, char** argv) {
       return std::to_string(s.num_false) + "(" + std::to_string(s.num_true) +
              ")";
     };
-    std::printf("%9s %5zu %5zu %4zu | %9s %11s | %9s %11s | %9s %11s | %9s "
-                "%11s\n",
+    std::printf("%9s %5zu %5zu %4zu | %9s %11s | %9s %11s | %9s %11s\n",
                 d.name.c_str(), design.num_latches(), design.num_properties(),
                 shards, ft(ja).c_str(), bench::fmt_time(ja.seconds).c_str(),
-                ft(cj).c_str(), bench::fmt_time(cj.seconds).c_str(),
                 ft(s_off).c_str(), bench::fmt_time(s_off.seconds).c_str(),
                 ft(s_units).c_str(),
                 bench::fmt_time(s_units.seconds).c_str());

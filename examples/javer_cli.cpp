@@ -26,7 +26,6 @@
 #include "obs/trace.h"
 #include "ic3/certify.h"
 #include "persist/persist.h"
-#include "mp/clustering.h"
 #include "mp/ja_verifier.h"
 #include "mp/joint_verifier.h"
 #include "mp/ordering.h"
@@ -63,8 +62,8 @@ struct CliOptions {
   bool cache_gc = false;     // run cache eviction instead of verifying
   unsigned long cache_max_bytes = 0;    // --cache-gc size cap; 0 = none
   double cache_max_age_days = 0.0;      // --cache-gc age cap; 0 = none
-  double cluster_threshold = 0.5;     // sharded/clustered: min similarity
-  std::size_t max_cluster_size = 64;  // sharded/clustered: shard size cap
+  double cluster_threshold = 0.5;     // sharded: min similarity
+  std::size_t max_cluster_size = 64;  // sharded: shard size cap
   javer::mp::exchange::ExchangeMode lemma_exchange =
       javer::mp::exchange::ExchangeMode::Units;  // sharded only
   javer::ic3::Ic3SolverMode ic3_solver =
@@ -95,7 +94,7 @@ void usage(std::FILE* out) {
 "\n"
 "engine selection:\n"
 "  --engine NAME        separate | ja | joint | parallel | hybrid |\n"
-"                       clustered | sharded   (default: ja)\n"
+"                       sharded               (default: ja)\n"
 "                         separate  global proofs, one property at a time\n"
 "                         ja        local proofs + clause re-use (paper's\n"
 "                                   headline algorithm)\n"
@@ -104,8 +103,6 @@ void usage(std::FILE* out) {
 "                         parallel  JA on a work-stealing worker pool\n"
 "                         hybrid    shared BMC falsification sweeps\n"
 "                                   interleaved with IC3 proof slices\n"
-"                         clustered cone-similarity clusters, verified\n"
-"                                   jointly per cluster\n"
 "                         sharded   one hybrid BMC+IC3 shard per cluster\n"
 "                                   (own task pool + clause-db shard),\n"
 "                                   shards balanced across the worker\n"
@@ -115,13 +112,13 @@ void usage(std::FILE* out) {
 "\n"
 "resource limits:\n"
 "  --time-limit SEC     per property (separate/ja/parallel/hybrid/\n"
-"                       sharded) or total (joint/clustered) (default: 60)\n"
+"                       sharded) or total (joint)     (default: 60)\n"
 "  --threads N          worker threads for parallel/hybrid/sharded;\n"
 "                       0 = all hardware threads      (default: 0)\n"
 "  --bmc-depth N        hybrid/sharded: cap on the shared BMC unrolling\n"
 "                       depth                         (default: 64)\n"
 "\n"
-"simulation prefilter (not for joint/clustered):\n"
+"simulation prefilter (not for joint):\n"
 "  --sim-prefilter M    off | falsify | full          (default: off)\n"
 "                         falsify  batched 64-wide random simulation\n"
 "                                  before any SAT work; every hit is\n"
@@ -149,7 +146,7 @@ void usage(std::FILE* out) {
 "  --cache-max-age-days D --cache-gc: evict entries unused for more than\n"
 "                         D days (0 = none)\n"
 "\n"
-"sharded/clustered knobs:\n"
+"sharded knobs:\n"
 "  --cluster-threshold F  minimum Jaccard cone similarity for two\n"
 "                         properties to share a cluster, in [0,1]\n"
 "                         (default: 0.5)\n"
@@ -178,7 +175,7 @@ void usage(std::FILE* out) {
 "  --etf I              mark property I Expected-To-Fail; repeatable\n"
 "                       (ETF properties are never assumed)\n"
 "\n"
-"fault injection (resilience testing; not for joint/clustered):\n"
+"fault injection (resilience testing; not for joint):\n"
 "  --fault-inject SPEC  deterministic fault plan, ';'-separated entries:\n"
 "                         seed=N            plan RNG seed (default: 1)\n"
 "                         SITE[@N][+][:OPTS] inject at SITE's Nth hit\n"
@@ -204,7 +201,7 @@ void usage(std::FILE* out) {
 "                       encode+simplify pass and seeds shards from the\n"
 "                       previous run's invariants (everything loaded is\n"
 "                       re-validated; corrupt caches degrade to a cold\n"
-"                       run). Not supported for joint/clustered engines.\n"
+"                       run). Not supported for the joint engine.\n"
 "  --trace-out FILE     write a Chrome trace-event JSON timeline of the\n"
 "                       run (scheduler rounds, per-slice IC3 spans, BMC\n"
 "                       sweeps, lemma exchange, persist I/O) — load it in\n"
@@ -228,7 +225,8 @@ void usage(std::FILE* out) {
 "                       instant + obs.stalls metric   (default: 30)\n"
 "  --watchdog-preempt   stalled tasks additionally get a soft-suspend\n"
 "                       request through the IC3 budget poll, so the\n"
-"                       scheduler reschedules them (implies monitoring)\n"
+"                       scheduler reschedules them (implies monitoring;\n"
+"                       not for joint)\n"
 "  --log-level L        silent | info | verbose | debug (or 0..3): engine\n"
 "                       logging on stderr           (default: silent)\n"
 "  --witness            print AIGER witnesses for failed properties on\n"
@@ -577,25 +575,25 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  if (cli.sim_prefilter != "off" &&
-      (cli.engine == "joint" || cli.engine == "clustered")) {
-    // The aggregate policies have no per-property tasks for the filter's
-    // kills/seeds to land on.
-    std::fprintf(stderr,
-                 "javer_cli: --sim-prefilter is not supported with --engine "
-                 "%s\n", cli.engine.c_str());
-    return 3;
+  if (cli.engine == "joint") {
+    // The aggregate policy has no per-property tasks: none for the
+    // prefilter's kills to land on or for a fault to quarantine and
+    // retry, no per-property invariant to persist, and a soft preempt
+    // would suspend the whole conjunction.
+    const char* unsupported = cli.sim_prefilter != "off" ? "--sim-prefilter"
+                              : !cli.fault_inject.empty() ? "--fault-inject"
+                              : !cli.cache_dir.empty()    ? "--cache-dir"
+                              : cli.watchdog_preempt ? "--watchdog-preempt"
+                                                     : nullptr;
+    if (unsupported != nullptr) {
+      std::fprintf(stderr,
+                   "javer_cli: %s is not supported with --engine joint\n",
+                   unsupported);
+      return 3;
+    }
   }
 
   if (!cli.fault_inject.empty()) {
-    if (cli.engine == "joint" || cli.engine == "clustered") {
-      // The aggregate policies have no per-property tasks to quarantine
-      // and retry; a fault there still aborts the whole conjunction.
-      std::fprintf(stderr,
-                   "javer_cli: --fault-inject is not supported with --engine "
-                   "%s\n", cli.engine.c_str());
-      return 3;
-    }
     try {
       // Validate now so a malformed plan is a loud usage error instead of
       // an engine-time exception.
@@ -607,14 +605,6 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.cache_dir.empty()) {
-    if (cli.engine == "joint" || cli.engine == "clustered") {
-      // The aggregate policies build a fresh per-iteration TS and export
-      // no per-property invariants, so there is nothing to persist.
-      std::fprintf(stderr,
-                   "javer_cli: --cache-dir is not supported with --engine "
-                   "%s\n", cli.engine.c_str());
-      return 3;
-    }
     try {
       // Probe now (creates the directory) so an unusable cache is a loud
       // usage error instead of a silently cold run.
@@ -823,19 +813,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(xs.imported),
           static_cast<unsigned long long>(xs.rejected), xs.hit_rate());
     }
-  } else if (cli.engine == "clustered") {
-    mp::ClusteredJointOptions opts;
-    opts.total_time_limit = cli.time_limit;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.tracer = tracer_ptr;
-    opts.metrics = metrics_ptr;
-    opts.progress = board_ptr;
-    opts.profiler = profiler_ptr;
-    opts.clustering.min_similarity = cli.cluster_threshold;
-    opts.clustering.max_cluster_size = cli.max_cluster_size;
-    result = mp::ClusteredJointVerifier(ts, opts).run();
   } else {
     std::fprintf(stderr, "javer_cli: unknown engine '%s'\n",
                  cli.engine.c_str());
@@ -983,8 +960,8 @@ int main(int argc, char** argv) {
       }
       if (pr.invariant.empty() &&
           pr.verdict == mp::PropertyVerdict::HoldsGlobally &&
-          (cli.engine == "joint" || cli.engine == "clustered")) {
-        continue;  // joint modes do not export per-property certificates
+          cli.engine == "joint") {
+        continue;  // the joint engine exports no per-property certificates
       }
       std::vector<std::size_t> assumed;
       if (pr.verdict == mp::PropertyVerdict::HoldsLocally) {

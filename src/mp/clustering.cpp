@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mp/shard/sharded_scheduler.h"
-
 namespace javer::mp {
 
 namespace {
@@ -97,22 +95,6 @@ std::vector<std::vector<std::size_t>> cluster_properties(
     clusters[cluster_of[root]].push_back(i);
   }
   return clusters;
-}
-
-ClusteredJointVerifier::ClusteredJointVerifier(const ts::TransitionSystem& ts,
-                                               ClusteredJointOptions opts)
-    : ts_(ts), opts_(std::move(opts)) {}
-
-MultiResult ClusteredJointVerifier::run() {
-  shard::ShardedOptions so;
-  so.base.dispatch = sched::DispatchPolicy::JointAggregate;
-  so.base.proof_mode = sched::ProofMode::Global;
-  so.base.num_threads = 1;
-  so.base.engine = opts_;
-  so.clustering = opts_.clustering;
-  so.time_limit_per_shard = opts_.time_limit_per_cluster;
-  so.exchange = exchange::ExchangeMode::Off;
-  return shard::ShardedScheduler(ts_, so).run();
 }
 
 }  // namespace javer::mp

@@ -1,17 +1,15 @@
-// Structure-aware property clustering — the *competing* approach the
+// Structure-aware property clustering, after the grouping approach the
 // paper's related work discusses (Cabodi/Nocco [8], Camurati et al. [10]):
-// group properties with similar cones of influence and verify each group
-// jointly. Implemented here as a baseline so the purely semantic
-// JA-verification can be compared against (and composed with) it: local
-// proofs and clause re-use apply within a cluster unchanged.
+// group properties with similar cones of influence. The sharded scheduler
+// (mp/shard) builds its partition from these clusters, composing the
+// grouping with JA-verification: local proofs and clause re-use apply
+// within a cluster unchanged.
 #ifndef JAVER_MP_CLUSTERING_H
 #define JAVER_MP_CLUSTERING_H
 
 #include <cstdint>
 #include <vector>
 
-#include "mp/report.h"
-#include "mp/sched/engine_options.h"
 #include "ts/transition_system.h"
 
 namespace javer::mp {
@@ -36,31 +34,6 @@ struct ClusterOptions {
 std::vector<std::vector<std::size_t>> cluster_properties(
     const ts::TransitionSystem& ts, const ClusterOptions& opts = {},
     std::size_t* signature_merges = nullptr);
-
-// The shared engine knobs live in the sched::EngineOptions base, as for
-// JointOptions (clause re-use, per-property limits and order do not apply
-// to the aggregate runs).
-struct ClusteredJointOptions : sched::EngineOptions {
-  ClusterOptions clustering;
-  double time_limit_per_cluster = 0.0;
-};
-
-// The grouping baseline: joint verification per cluster (each cluster's
-// aggregate property is the conjunction of its members). A thin preset
-// over the sharded scheduler (mp/shard) with JointAggregate dispatch per
-// shard and the lemma exchange off, the way the four legacy verifiers
-// are presets over the property scheduler.
-class ClusteredJointVerifier {
- public:
-  ClusteredJointVerifier(const ts::TransitionSystem& ts,
-                         ClusteredJointOptions opts = {});
-
-  MultiResult run();
-
- private:
-  const ts::TransitionSystem& ts_;
-  ClusteredJointOptions opts_;
-};
 
 }  // namespace javer::mp
 

@@ -25,7 +25,6 @@ MultiResult JointVerifier::run() {
   so.engine = opts_;
   so.proof_mode = sched::ProofMode::Global;
   so.dispatch = sched::DispatchPolicy::JointAggregate;
-  so.time_limit_per_iteration = opts_.time_limit_per_iteration;
   return sched::Scheduler(ts_, so).run();
 }
 

@@ -16,12 +16,10 @@
 
 namespace javer::mp {
 
-// The shared engine knobs live in the sched::EngineOptions base (the
-// paper's joint runs used a 10-hour total_time_limit; clause re-use,
+// All knobs are the shared engine ones (the paper's joint runs used a
+// 10-hour total_time_limit, which bounds every iteration; clause re-use,
 // per-property limits and order do not apply to the aggregate run).
-struct JointOptions : sched::EngineOptions {
-  double time_limit_per_iteration = 0.0;  // 0 = bounded only by total
-};
+struct JointOptions : sched::EngineOptions {};
 
 class JointVerifier {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "mp/sched/worker_pool.h"
 #include "mp/simfilter/sim_filter.h"
 #include "obs/metrics.h"
+#include "obs/monitor.h"
 #include "obs/trace.h"
 #include "persist/persist.h"
 
@@ -22,27 +24,46 @@ namespace javer::mp::sched {
 
 namespace {
 
-// The Jnt-ver loop over `unsolved` (indices into `ts`) within `limit`
-// seconds (0 = unlimited): one IC3 run on the conjunction per iteration.
-// Writes only the subset's rows of `result`, so disjoint subsets may run
-// concurrently.
+// The Jnt-ver loop: one IC3 run per iteration on the conjunction of the
+// unsolved properties (every property in design order at first), each
+// bounded by what is left of the total budget.
 void run_aggregate(const ts::TransitionSystem& ts,
-                   const SchedulerOptions& opts,
-                   std::vector<std::size_t> unsolved, double limit,
-                   const Timer& total, MultiResult& result) {
+                   const SchedulerOptions& opts, const Timer& total,
+                   MultiResult& result) {
   const obs::TraceSink sink(opts.engine.tracer);
   obs::MetricsRegistry* metrics = opts.engine.metrics;
-  Timer elapsed;
+  const double total_limit = opts.engine.total_time_limit;
+  std::vector<std::size_t> unsolved(ts.num_properties());
+  std::iota(unsolved.begin(), unsolved.end(), std::size_t{0});
+
+  // Live progress: one run-level cell (property -1, as for a BMC sweep)
+  // that the aggregate engines' budget polls heartbeat into, and one
+  // cell per property, running until an iteration closes it. The
+  // property cells take their activity from the engine cell, so the
+  // stall watchdog sees them move while the engine does.
+  obs::ProgressBoard* board = opts.engine.progress;
+  std::vector<obs::TaskProgress*> cells;
+  obs::TaskProgress* engine_cell = nullptr;
+  auto publish = [&](const std::vector<std::size_t>& props,
+                     obs::ProgressState state) {
+    if (board == nullptr) return;
+    for (std::size_t p : props) cells[p]->set_state(state);
+  };
+  if (board != nullptr) {
+    engine_cell = board->register_task(/*property=*/-1);
+    for (std::size_t p : unsolved) {
+      cells.push_back(board->register_task(static_cast<long long>(p),
+                                           /*shard=*/-1, engine_cell));
+    }
+    engine_cell->set_state(obs::ProgressState::kRunning);
+    publish(unsolved, obs::ProgressState::kRunning);
+  }
+
   while (!unsolved.empty()) {
     double remaining = 0.0;
-    if (limit > 0) {
-      remaining = limit - elapsed.seconds();
+    if (total_limit > 0) {
+      remaining = total_limit - total.seconds();
       if (remaining <= 0) break;
-    }
-    double iteration_limit = opts.time_limit_per_iteration;
-    if (remaining > 0 &&
-        (iteration_limit <= 0 || iteration_limit > remaining)) {
-      iteration_limit = remaining;
     }
 
     auto [agg_aig, agg_index] = make_aggregate(ts.aig(), unsolved);
@@ -50,7 +71,8 @@ void run_aggregate(const ts::TransitionSystem& ts,
     // No shared cache: each iteration checks a fresh aggregate TS, but the
     // engine's private template still collapses its per-frame encodings.
     ic3::Ic3Options engine_opts = make_ic3_options(opts.engine, -1, -1);
-    engine_opts.time_limit_seconds = iteration_limit;
+    engine_opts.time_limit_seconds = remaining;
+    engine_opts.progress = engine_cell;
 
     const std::uint64_t iter_begin = sink.begin();
     Timer iteration;
@@ -64,7 +86,7 @@ void run_aggregate(const ts::TransitionSystem& ts,
     if (metrics != nullptr) metrics->heartbeat(total.seconds());
 
     const bool holds = er.status == CheckStatus::Holds;
-    if (!holds && er.status != CheckStatus::Fails) return;  // budget gone
+    if (!holds && er.status != CheckStatus::Fails) break;  // budget gone
     // A proof closes every unsolved property. A counterexample refutes
     // every unsolved property false at its final step (the prefix
     // satisfied all of them, so these are exactly the first-failing ones
@@ -84,7 +106,7 @@ void run_aggregate(const ts::TransitionSystem& ts,
         // Should be impossible for a genuine aggregate CEX; avoid looping.
         JAVER_LOG(Info) << "sched: aggregate cex refutes no property; "
                            "stopping";
-        return;
+        break;
       }
     }
     for (std::size_t p : closed) {
@@ -94,7 +116,10 @@ void run_aggregate(const ts::TransitionSystem& ts,
       pr.seconds = spent;
       pr.frames = er.frames;
       if (!holds) pr.cex = er.cex;
+      if (board != nullptr) cells[p]->set_frames(er.frames);
     }
+    publish(closed, holds ? obs::ProgressState::kHolds
+                          : obs::ProgressState::kFails);
     // The iteration's engine stats go to one property only, so summing
     // engine_stats over per_property counts each IC3 run once. The fold
     // mirrors that, which keeps the registry totals equal to the sum.
@@ -104,13 +129,25 @@ void run_aggregate(const ts::TransitionSystem& ts,
     JAVER_LOG(Verbose) << "sched: joint iteration closed " << closed.size()
                        << ", " << unsolved.size() << " remaining";
   }
+  // Whatever the budget left open stays Unknown; the engine cell has no
+  // verdict of its own and goes terminal with the run.
+  publish(unsolved, obs::ProgressState::kUnknown);
+  if (engine_cell != nullptr) {
+    engine_cell->set_state(obs::ProgressState::kUnknown);
+  }
 }
 
 }  // namespace
 
 Scheduler::Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts,
                      std::optional<Sharding> sharding)
-    : ts_(ts), opts_(std::move(opts)), sharding_(std::move(sharding)) {}
+    : ts_(ts), opts_(std::move(opts)), sharding_(std::move(sharding)) {
+  if (sharding_ && opts_.dispatch == DispatchPolicy::JointAggregate) {
+    throw std::invalid_argument(
+        "sched: the JointAggregate policy runs on the one-shard partition "
+        "only");
+  }
+}
 
 std::vector<std::size_t> Scheduler::assumptions_for(std::size_t prop) const {
   if (opts_.proof_mode != ProofMode::Local) return {};
@@ -122,10 +159,7 @@ std::vector<std::vector<std::size_t>> Scheduler::partition(
     std::size_t* signature_merges) const {
   const std::vector<std::size_t>& order = opts_.engine.order;
   if (!sharding_) {
-    // The aggregate conjoins every property in design order.
-    if (!order.empty() && opts_.dispatch != DispatchPolicy::JointAggregate) {
-      return {order};
-    }
+    if (!order.empty()) return {order};
     std::vector<std::size_t> all(ts_.num_properties());
     std::iota(all.begin(), all.end(), std::size_t{0});
     return {all};
@@ -162,7 +196,8 @@ MultiResult Scheduler::run(ClauseDb& db) {
   exchange_stats_ = {};
   // The aggregate policy takes no clause database.
   if (opts_.dispatch == DispatchPolicy::JointAggregate) {
-    run_joint(total, result);
+    num_shards_ = 1;
+    run_aggregate(ts_, opts_, total, result);
   } else {
     run_tasks(db, total, result);
   }
@@ -445,27 +480,6 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
       metrics->add("exchange.redundant", exchange_stats_.redundant);
     }
   }
-}
-
-void Scheduler::run_joint(const Timer& total, MultiResult& result) {
-  const auto clusters = partition({}, nullptr);
-  num_shards_ = clusters.size();
-
-  // Parallelism lives at the shard level: each shard's aggregate loop is
-  // one pool item, bounded by the per-shard limit and what is left of the
-  // total budget when it starts.
-  const double total_limit = opts_.engine.total_time_limit;
-  WorkerPool pool(
-      resolve_worker_count(opts_.num_threads, ts_.num_properties()));
-  pool.run(clusters.size(), [&](std::size_t i) {
-    double limit = sharding_ ? sharding_->time_limit_per_shard : 0.0;
-    if (total_limit > 0) {
-      const double remaining = total_limit - total.seconds();
-      if (remaining <= 0) return;  // stays Unknown
-      if (limit <= 0 || limit > remaining) limit = remaining;
-    }
-    run_aggregate(ts_, opts_, clusters[i], limit, total, result);
-  });
 }
 
 }  // namespace javer::mp::sched

@@ -1,6 +1,6 @@
 // Scheduler: the one orchestrator behind every verification mode. It owns
 // the PropertyTask pool, the ClauseDb plumbing, the worker pool, and the
-// engines; the five public verifier classes and mp::shard's
+// engines; the four public verifier classes and mp::shard's
 // ShardedScheduler are thin option presets over it.
 //
 // Every run dispatches over a *partition* of the properties into shards.
@@ -30,10 +30,11 @@
 //    die cheaply in the BMC sweeps before IC3 spends anything on them;
 //    the surviving properties get proven by the sliced IC3 engines,
 //    which keep their frames between slices.
-//  * JointAggregate — the paper's Jnt-ver baseline, per shard on the
-//    pool: one IC3 run on the conjunction of the shard's open
-//    properties; a counterexample removes the refuted subset and the
-//    loop restarts on the rest. Takes no clause database.
+//  * JointAggregate — the paper's Jnt-ver baseline, on the trivial
+//    partition only (a Sharding with it is a constructor error): one IC3
+//    run on the conjunction of every open property, bounded by what is
+//    left of the total budget; a counterexample removes the refuted
+//    subset and the loop restarts on the rest. Takes no clause database.
 #ifndef JAVER_MP_SCHED_SCHEDULER_H
 #define JAVER_MP_SCHED_SCHEDULER_H
 
@@ -81,27 +82,23 @@ struct SchedulerOptions {
   // Stop sweeping after this many consecutive sweeps found nothing: the
   // open set is (probably) all-true and BMC money is better spent on IC3.
   int bmc_empty_sweeps_to_stop = 2;
-
-  // --- JointAggregate knobs ---
-  double time_limit_per_iteration = 0.0;  // 0 = bounded only by total
 };
 
 // A cluster-sharded run (what mp::shard's ShardedScheduler passes): one
 // shard per cone-similarity cluster (mp/clustering.h), members ranked by
 // the engine order option. `exchange` selects whether each shard's BMC
 // sweep publishes its prefix units to the shard's IC3 tasks (hybrid
-// policy); `time_limit_per_shard` bounds each shard's
-// aggregate loop (JointAggregate; 0 = total budget only).
+// policy).
 struct Sharding {
   ClusterOptions clustering;
   exchange::ExchangeMode exchange = exchange::ExchangeMode::Units;
-  double time_limit_per_shard = 0.0;
 };
 
 class Scheduler {
  public:
   // Without `sharding`, the trivial partition: one untagged shard, lemma
-  // exchange off.
+  // exchange off. Throws std::invalid_argument for a `sharding` with the
+  // JointAggregate policy.
   Scheduler(const ts::TransitionSystem& ts, SchedulerOptions opts,
             std::optional<Sharding> sharding = std::nullopt);
 
@@ -119,13 +116,11 @@ class Scheduler {
   }
 
  private:
-  // The policy bodies — RunToCompletion and HybridBmcIc3 share
-  // run_tasks — filling the result run() set up and finalises.
+  // The task policies' body (RunToCompletion and HybridBmcIc3), filling
+  // the result run() set up and finalises.
   void run_tasks(ClauseDb& db, const Timer& total, MultiResult& result);
-  void run_joint(const Timer& total, MultiResult& result);
-  // The run's partition: the trivial one holds the engine order option
-  // (design order by default; always design order for the aggregate
-  // policy, which conjoins every property). `signatures` are the
+  // The task policies' partition: the trivial one holds the engine order
+  // option (design order by default). `signatures` are the
   // prefilter's behavior signatures (empty = keep the clustering's own);
   // `signature_merges` receives the unions they contributed.
   std::vector<std::vector<std::size_t>> partition(

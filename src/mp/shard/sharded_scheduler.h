@@ -14,9 +14,6 @@
 // (tests/test_shard.cpp checks this against exchange-off and oracle
 // runs). Proofs are shared between the shard's tasks through its
 // ClauseDb, the paper's clause re-use channel.
-//
-// ClusteredJointVerifier (mp/clustering.h) is a preset over this class
-// (JointAggregate dispatch per shard).
 #ifndef JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 #define JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 
@@ -31,16 +28,15 @@
 
 namespace javer::mp::shard {
 
-// The `sched::Sharding` fields: `clustering`, `exchange` (default Units)
-// and `time_limit_per_shard` (JointAggregate dispatch only: the clustered
-// baseline's time_limit_per_cluster).
+// The `sched::Sharding` fields: `clustering` and `exchange` (default
+// Units).
 struct ShardedOptions : sched::Sharding {
   // `base.dispatch` selects the within-shard policy: HybridBmcIc3
-  // (default here: shared BMC sweep + IC3 slices per shard),
-  // RunToCompletion, or JointAggregate (one aggregate IC3 per shard —
-  // the clustered-joint baseline). `base.num_threads` sizes the worker
-  // pool the shards' work items are balanced across; the hybrid knobs
-  // apply per shard.
+  // (default here: shared BMC sweep + IC3 slices per shard) or
+  // RunToCompletion; JointAggregate is rejected (std::invalid_argument),
+  // since the aggregate runs on the one-shard partition only.
+  // `base.num_threads` sizes the worker pool the shards' work items are
+  // balanced across; the hybrid knobs apply per shard.
   sched::SchedulerOptions base;
 };
 

@@ -37,8 +37,11 @@ bool terminal(ProgressState s) {
 // --- TaskProgress ----------------------------------------------------------
 
 TaskProgress::TaskProgress(ProgressBoard* board, long long property,
-                           int shard)
-    : board_(board), property_(property), shard_(shard) {
+                           int shard, const TaskProgress* activity_source)
+    : board_(board),
+      property_(property),
+      activity_source_(activity_source),
+      shard_(shard) {
   touch();
 }
 
@@ -61,9 +64,10 @@ std::int64_t ProgressBoard::now_us() const {
       .count();
 }
 
-TaskProgress* ProgressBoard::register_task(long long property, int shard) {
+TaskProgress* ProgressBoard::register_task(
+    long long property, int shard, const TaskProgress* activity_source) {
   base::MutexLock lock(mu_);
-  cells_.emplace_back(this, property, shard);
+  cells_.emplace_back(this, property, shard, activity_source);
   return &cells_.back();
 }
 

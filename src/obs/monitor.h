@@ -55,10 +55,14 @@ enum class ProgressState : std::uint8_t {
 
 // Per-task progress cell. Writers use the set_*/touch API (relaxed
 // stores); the monitor reads the same fields. `property` is -1 for
-// non-property units (a shard's BMC sweep).
+// non-property units (a shard's BMC sweep, the joint aggregate engine).
+// A cell with an `activity_source` has its work done by that cell's
+// engine (the joint loop's property cells follow the aggregate engine's
+// cell) and reads its last activity from there.
 class TaskProgress {
  public:
-  TaskProgress(ProgressBoard* board, long long property, int shard);
+  TaskProgress(ProgressBoard* board, long long property, int shard,
+               const TaskProgress* activity_source = nullptr);
   TaskProgress(const TaskProgress&) = delete;
   TaskProgress& operator=(const TaskProgress&) = delete;
 
@@ -118,6 +122,9 @@ class TaskProgress {
     return slice_scale_milli_.load(std::memory_order_relaxed) / 1000.0;
   }
   std::int64_t last_activity_us() const {
+    if (activity_source_ != nullptr) {
+      return activity_source_->last_activity_us();
+    }
     return last_activity_us_.load(std::memory_order_relaxed);
   }
 
@@ -126,6 +133,7 @@ class TaskProgress {
 
   ProgressBoard* board_;
   long long property_;
+  const TaskProgress* const activity_source_;
   std::atomic<int> shard_;
   std::atomic<std::uint8_t> state_{
       static_cast<std::uint8_t>(ProgressState::kPending)};
@@ -149,7 +157,8 @@ class ProgressBoard {
   std::int64_t now_us() const;
 
   // Registers a cell; the pointer stays valid for the board's lifetime.
-  TaskProgress* register_task(long long property, int shard = -1);
+  TaskProgress* register_task(long long property, int shard = -1,
+                              const TaskProgress* activity_source = nullptr);
 
   // Stable-pointer snapshot of all cells (cells registered after the
   // call are picked up by the next one).

@@ -1,14 +1,12 @@
-// Property-clustering tests (the structure-aware baseline from the
-// paper's related work): partition validity, similarity behaviour, and
-// clustered joint verification verdicts against the oracle.
+// Property-clustering tests (the structure-aware grouping from the
+// paper's related work, which the sharded scheduler partitions by):
+// partition validity and similarity behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "gen/random_design.h"
 #include "gen/synthetic.h"
 #include "mp/clustering.h"
-#include "ref/explicit_checker.h"
 
 namespace javer::mp {
 namespace {
@@ -93,55 +91,6 @@ TEST(Clustering, MaxClusterSizeRespected) {
   auto clusters = cluster_properties(ts, opts);
   for (const auto& c : clusters) EXPECT_LE(c.size(), 4u);
   EXPECT_TRUE(is_partition(clusters, ts.num_properties()));
-}
-
-class ClusteredJointRandomTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ClusteredJointRandomTest, VerdictsMatchOracle) {
-  gen::RandomDesignSpec spec;
-  spec.seed = GetParam();
-  spec.num_latches = 4;
-  spec.num_inputs = 2;
-  spec.num_properties = 4;
-  aig::Aig aig = gen::make_random_design(spec);
-  ts::TransitionSystem ts(aig);
-  ref::ExplicitResult expected = ref::explicit_check(ts);
-
-  ClusteredJointVerifier verifier(ts);
-  MultiResult result = verifier.run();
-  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
-    if (expected.fails_globally(p)) {
-      EXPECT_EQ(result.per_property[p].verdict,
-                PropertyVerdict::FailsGlobally)
-          << "seed " << GetParam() << " prop " << p;
-    } else {
-      EXPECT_EQ(result.per_property[p].verdict,
-                PropertyVerdict::HoldsGlobally)
-          << "seed " << GetParam() << " prop " << p;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ClusteredJointRandomTest,
-                         ::testing::Range<std::uint64_t>(400, 415));
-
-TEST(ClusteredJoint, TimeLimitLeavesRemainderUnknown) {
-  gen::SyntheticSpec spec;
-  spec.seed = 9;
-  spec.wrap_counter_bits = 14;
-  spec.rings = 2;
-  spec.ring_size = 6;
-  spec.ring_props = 12;
-  spec.det_fail_props = 1;
-  spec.masked_fail_props = 2;  // deep CEXs stall the budget
-  aig::Aig aig = gen::make_synthetic(spec);
-  ts::TransitionSystem ts(aig);
-  ClusteredJointOptions opts;
-  opts.total_time_limit = 0.3;
-  ClusteredJointVerifier verifier(ts, opts);
-  MultiResult result = verifier.run();
-  EXPECT_GE(result.num_unsolved(), 1u);
 }
 
 }  // namespace

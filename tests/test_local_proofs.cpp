@@ -4,6 +4,8 @@
 // assumption set grows.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "aig/builder.h"
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
@@ -117,7 +119,9 @@ TEST(LocalProofs, ClauseReuseShrinksLaterProofs) {
                         b.inc_word(scnt, aig::Lit::true_lit())));
   // Ten properties, each "scnt never equals an unreachable value".
   for (std::uint64_t u = 33; u < 43; ++u) {
-    aig.add_property(~b.eq_const(scnt, u), "u" + std::to_string(u));
+    std::string name = "u";
+    name += std::to_string(u);
+    aig.add_property(~b.eq_const(scnt, u), name);
   }
   ts::TransitionSystem ts(aig);
 

@@ -1,8 +1,8 @@
 // Run-health monitor tests (src/obs/monitor): the progress cell / board
 // plumbing, the stall watchdog's one-instant-per-episode latch and its
 // preemption handshake, the rendered report lines, and the end-to-end
-// acceptance criteria — a scheduler run's final board totals match the
-// report verdict counts, an artificially stalled task (the
+// acceptance criteria — a task or aggregate (joint) run's final board
+// totals match the report verdict counts, an artificially stalled task (the
 // EngineOptions::debug_stall_* hook) triggers exactly one watchdog/stall
 // instant, and with preemption on the stalled task is softly suspended,
 // resumed, and still produces its certified verdict.
@@ -19,6 +19,7 @@
 
 #include "gen/synthetic.h"
 #include "ic3/certify.h"
+#include "mp/joint_verifier.h"
 #include "mp/sched/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -160,6 +161,31 @@ TEST(ProgressMonitor, WatchdogPreemptsPropertyCellsButNotSweeps) {
   EXPECT_FALSE(sweep->preempt_requested());
 }
 
+TEST(ProgressMonitor, CellsFollowTheirActivitySource) {
+  // The joint loop's property cells take their activity from the
+  // aggregate engine's cell: they move while it moves and stall with it.
+  obs::ProgressBoard board;
+  obs::MonitorOptions mo;
+  mo.stall_seconds = 0.05;
+  obs::ProgressMonitor monitor(&board, mo);
+
+  obs::TaskProgress* engine = board.register_task(/*property=*/-1);
+  obs::TaskProgress* prop =
+      board.register_task(/*property=*/0, /*shard=*/-1, engine);
+  engine->set_state(obs::ProgressState::kRunning);
+  prop->set_state(obs::ProgressState::kRunning);
+
+  sleep_seconds(0.15);
+  engine->touch();
+  monitor.poll();
+  EXPECT_EQ(monitor.stall_events(), 0u);
+  EXPECT_EQ(prop->last_activity_us(), engine->last_activity_us());
+
+  sleep_seconds(0.15);
+  monitor.poll();
+  EXPECT_EQ(monitor.stall_events(), 2u);
+}
+
 // --- rendered reports ------------------------------------------------------
 
 TEST(ProgressMonitor, ReportsRenderCellTotalsAndFoldFinalUnknowns) {
@@ -245,20 +271,11 @@ gen::SyntheticSpec tiny_ring() {
   return spec;
 }
 
-TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
-  aig::Aig aig = gen::make_synthetic(small_multi_cone());
-  ts::TransitionSystem ts(aig);
-
-  obs::ProgressBoard board;
-  mp::sched::SchedulerOptions so;
-  so.proof_mode = mp::sched::ProofMode::Local;
-  so.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
-  so.ic3_slice_seconds = 0.05;
-  so.bmc_depth_per_sweep = 4;
-  so.bmc_max_depth = 32;
-  so.engine.progress = &board;
-  mp::MultiResult r = mp::sched::Scheduler(ts, so).run();
-
+// Every property registered a cell, every cell ended terminal, and the
+// board's totals, counted and rendered, are exactly the report's verdict
+// counts. Returns the number of run-level (property -1) cells.
+std::size_t expect_board_matches_report(obs::ProgressBoard& board,
+                                        const mp::MultiResult& r) {
   std::size_t holds = 0, fails = 0, unknown = 0;
   for (const mp::PropertyResult& pr : r.per_property) {
     switch (pr.verdict) {
@@ -276,13 +293,11 @@ TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
     }
   }
 
-  // Every property registered a cell, every cell ended terminal, and the
-  // board's totals are exactly the report's verdict counts.
   std::size_t cell_holds = 0, cell_fails = 0, cell_unknown = 0,
-              property_cells = 0, sweep_cells = 0;
+              property_cells = 0, run_cells = 0;
   for (obs::TaskProgress* cell : board.entries()) {
     if (cell->property() < 0) {
-      sweep_cells++;
+      run_cells++;
       continue;
     }
     property_cells++;
@@ -301,14 +316,11 @@ TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
                       << cell->property();
     }
   }
-  EXPECT_EQ(property_cells, ts.num_properties());
   EXPECT_EQ(property_cells, r.per_property.size());
-  EXPECT_GE(sweep_cells, 1u);  // the hybrid dispatch ran a BMC sweep
   EXPECT_EQ(cell_holds, holds);
   EXPECT_EQ(cell_fails, fails);
   EXPECT_EQ(cell_unknown, unknown);
 
-  // The final rendered summary agrees with the same numbers.
   std::ostringstream out;
   obs::MonitorOptions mo;
   mo.out = &out;
@@ -319,6 +331,41 @@ TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
                        " fails=" + std::to_string(fails) +
                        " unknown=" + std::to_string(unknown);
   EXPECT_NE(out.str().find(expect), std::string::npos) << out.str();
+  return run_cells;
+}
+
+TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
+  aig::Aig aig = gen::make_synthetic(small_multi_cone());
+  ts::TransitionSystem ts(aig);
+
+  obs::ProgressBoard board;
+  mp::sched::SchedulerOptions so;
+  so.proof_mode = mp::sched::ProofMode::Local;
+  so.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
+  so.ic3_slice_seconds = 0.05;
+  so.bmc_depth_per_sweep = 4;
+  so.bmc_max_depth = 32;
+  so.engine.progress = &board;
+  mp::MultiResult r = mp::sched::Scheduler(ts, so).run();
+  ASSERT_EQ(r.per_property.size(), ts.num_properties());
+  // The hybrid dispatch ran at least one BMC sweep.
+  EXPECT_GE(expect_board_matches_report(board, r), 1u);
+}
+
+TEST(MonitorEndToEnd, JointRunFinalTotalsMatchTheReportVerdicts) {
+  // The aggregate loop has no PropertyTasks; it keeps one cell per
+  // property itself, plus the aggregate engine's run-level cell.
+  aig::Aig aig = gen::make_synthetic(small_multi_cone());
+  ts::TransitionSystem ts(aig);
+
+  obs::ProgressBoard board;
+  mp::JointOptions jo;
+  jo.progress = &board;
+  mp::MultiResult r = mp::JointVerifier(ts, jo).run();
+  ASSERT_EQ(r.per_property.size(), ts.num_properties());
+  EXPECT_GT(r.num_failed(), 0u);
+  EXPECT_EQ(r.num_unsolved(), 0u);
+  EXPECT_EQ(expect_board_matches_report(board, r), 1u);
 }
 
 TEST(MonitorEndToEnd, InjectedStallTriggersExactlyOneWatchdogInstant) {

@@ -16,7 +16,6 @@
 
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
-#include "mp/clustering.h"
 #include "mp/joint_verifier.h"
 #include "mp/sched/scheduler.h"
 #include "mp/shard/sharded_scheduler.h"
@@ -334,32 +333,21 @@ TEST(ProfileEndToEnd, ShardedRunTagsSlotsPerShardAndReconciles) {
 
 TEST(ProfileEndToEnd, JointRunRecordsAggregateEngineQueries) {
   // The aggregate (Jnt-ver) engines take the same profiler hook as the
-  // task engines, in the joint preset and in the clustered one: their
-  // queries land in run-level (untagged) slots and reconcile with the
-  // iterations' engine stats.
+  // task engines: their queries land in run-level (untagged) slots and
+  // reconcile with the iterations' engine stats.
   aig::Aig aig = gen::make_synthetic(small_multi_cone());
   ts::TransitionSystem ts(aig);
 
-  for (const bool clustered : {false, true}) {
-    const char* preset = clustered ? "clustered" : "joint";
-    obs::PhaseProfiler profiler;
-    mp::MultiResult r;
-    if (clustered) {
-      mp::ClusteredJointOptions co;
-      co.profiler = &profiler;
-      r = mp::ClusteredJointVerifier(ts, co).run();
-    } else {
-      mp::JointOptions jo;
-      jo.profiler = &profiler;
-      r = mp::JointVerifier(ts, jo).run();
-    }
+  obs::PhaseProfiler profiler;
+  mp::JointOptions jo;
+  jo.profiler = &profiler;
+  mp::MultiResult r = mp::JointVerifier(ts, jo).run();
 
-    EXPECT_GT(profiler.phase_count("ic3/consecution"), 0u) << preset;
-    expect_profile_reconciles(profiler, r);
-    for (const obs::PhaseProfiler::SlotView& v : profiler.slots()) {
-      EXPECT_EQ(v.shard, -1) << preset << " " << v.phase;
-      EXPECT_EQ(v.property, -1) << preset << " " << v.phase;
-    }
+  EXPECT_GT(profiler.phase_count("ic3/consecution"), 0u);
+  expect_profile_reconciles(profiler, r);
+  for (const obs::PhaseProfiler::SlotView& v : profiler.slots()) {
+    EXPECT_EQ(v.shard, -1) << v.phase;
+    EXPECT_EQ(v.property, -1) << v.phase;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "gen/counter.h"
 #include "gen/random_design.h"
@@ -382,7 +383,7 @@ TEST(Sharded, OneClusterRunDoesExactlyTheHybridSchedulersWork) {
 TEST(Sharded, CallerSignaturesJoinTheClusteringWithoutThePrefilter) {
   // Disjoint ring cones cluster into singletons; equal nonzero signatures
   // set by the caller union them into one shard even though no prefilter
-  // runs, for the task and the aggregate policies alike.
+  // runs.
   gen::SyntheticSpec spec;
   spec.seed = 21;
   spec.rings = 3;
@@ -393,22 +394,26 @@ TEST(Sharded, CallerSignaturesJoinTheClusteringWithoutThePrefilter) {
   spec.shuffle_properties = false;
   aig::Aig aig = gen::make_synthetic(spec);
   ts::TransitionSystem ts(aig);
-  for (sched::DispatchPolicy dispatch :
-       {sched::DispatchPolicy::HybridBmcIc3,
-        sched::DispatchPolicy::JointAggregate}) {
-    ShardedOptions so = sharded_opts(exchange::ExchangeMode::Off);
-    so.base.dispatch = dispatch;
-    so.clustering.min_similarity = 0.1;
-    so.clustering.max_cluster_size = ts.num_properties();
-    ShardedScheduler structural(ts, so);
-    structural.run();
-    EXPECT_EQ(structural.num_shards(), 3u);
-    so.clustering.signatures.assign(ts.num_properties(), 7);
-    ShardedScheduler merged(ts, so);
-    MultiResult r = merged.run();
-    EXPECT_EQ(merged.num_shards(), 1u);
-    EXPECT_EQ(r.num_unsolved(), 0u);
-  }
+  ShardedOptions so = sharded_opts(exchange::ExchangeMode::Off);
+  so.clustering.min_similarity = 0.1;
+  so.clustering.max_cluster_size = ts.num_properties();
+  ShardedScheduler structural(ts, so);
+  structural.run();
+  EXPECT_EQ(structural.num_shards(), 3u);
+  so.clustering.signatures.assign(ts.num_properties(), 7);
+  ShardedScheduler merged(ts, so);
+  MultiResult r = merged.run();
+  EXPECT_EQ(merged.num_shards(), 1u);
+  EXPECT_EQ(r.num_unsolved(), 0u);
+}
+
+TEST(Sharded, JointAggregateDispatchIsRejected) {
+  // The aggregate policy runs on the one-shard partition only.
+  aig::Aig aig = gen::make_synthetic(gen::SyntheticSpec{});
+  ts::TransitionSystem ts(aig);
+  ShardedOptions so = sharded_opts(exchange::ExchangeMode::Off);
+  so.base.dispatch = sched::DispatchPolicy::JointAggregate;
+  EXPECT_THROW(ShardedScheduler(ts, so), std::invalid_argument);
 }
 
 TEST(Sharded, RunToCompletionDispatchMatchesOracle) {

@@ -15,10 +15,9 @@ What is gated is deliberately machine-speed independent:
     wall-clock shapes (e.g. table14's "does not lose wall-time") are
     skipped;
   * rows: verdict counts (num_false / num_true / num_unsolved /
-    debug_set) must match exactly, keyed by (design, config) — but only
-    for run-to-completion configs; time-budgeted configs (all of
-    table02, table11's clustered-joint) depend on machine speed and are
-    skipped;
+    debug_set) must match exactly, keyed by (design, config) — on every
+    row of a table unless its policy sets skip_rows (table02, whose rows
+    all run under a wall-clock budget and so depend on machine speed);
   * row work: sat_propagations / sat_conflicts / max_frames must match
     exactly wherever verdicts are gated — every gated row is a
     single-thread config whose counters repeat run to run and across
@@ -59,7 +58,6 @@ POLICY = {
         "skip_rows": True,
     },
     "table11": {
-        "skip_configs": ["clustered-joint"],  # time-budgeted comparison arm
         "metrics": {
             "exchange_delivered": {"mode": "min", "value": 1},
         },
@@ -117,14 +115,11 @@ def diff_table(table, baseline, fresh, policy=None):
             problems.append(f"shape no longer reproduced: {claim!r}")
 
     if not policy.get("skip_rows", False):
-        skip_configs = set(policy.get("skip_configs", []))
         fresh_rows = {
             (r["design"], r["config"]): r for r in fresh["rows"]
         }
         for row in baseline["rows"]:
             key = (row["design"], row["config"])
-            if row["config"] in skip_configs:
-                continue
             got = fresh_rows.get(key)
             if got is None:
                 problems.append(f"row disappeared: {key[0]}/{key[1]}")
@@ -212,16 +207,14 @@ def self_test():
         "seconds": 0.5, "max_frames": 7, "sat_propagations": 100,
         "sat_conflicts": 10, "simp_vars_eliminated": 0,
     }
-    budget_row = dict(row, config="clustered-joint", num_true=0,
-                      num_unsolved=2)
+    other_row = dict(row, config="sharded-off", sat_propagations=90)
     shape_ok = {"claim": "verdicts agree", "reproduced": True}
     shape_time = {"claim": "no wall-time loss", "reproduced": True}
     baseline = _fixture(
-        [row, budget_row], [shape_ok, shape_time],
+        [row, other_row], [shape_ok, shape_time],
         {"exchange_delivered": 100, "ja_total_seconds": 0.5},
     )
     policy = {
-        "skip_configs": ["clustered-joint"],
         "skip_shape_claims": ["wall-time"],
         "metrics": {"exchange_delivered": {"mode": "min", "value": 1}},
     }
@@ -236,12 +229,11 @@ def self_test():
     # Identical run: clean.
     expect("identical", json.loads(json.dumps(baseline)), False)
 
-    # Speed-dependent drift is tolerated: slower seconds, different
-    # budgeted-config verdicts, lower (but nonzero) traffic.
+    # Speed-dependent drift is tolerated: slower seconds, lower (but
+    # nonzero) traffic.
     drifted = json.loads(json.dumps(baseline))
     drifted["rows"][0]["seconds"] = 9.9
-    drifted["rows"][1]["num_true"] = 1
-    drifted["rows"][1]["num_unsolved"] = 1
+    drifted["rows"][1]["seconds"] = 0.1
     drifted["metrics"]["exchange_delivered"] = 3
     drifted["metrics"]["ja_total_seconds"] = 7.0
     expect("tolerated drift", drifted, False)
@@ -258,28 +250,32 @@ def self_test():
     gone_shape["shapes"] = [shape_time]
     expect("disappeared shape", gone_shape, True)
 
-    # Verdict changes on a run-to-completion config are regressions.
-    flipped = json.loads(json.dumps(baseline))
-    flipped["rows"][0]["num_true"] = 1
-    flipped["rows"][0]["num_unsolved"] = 1
-    expect("changed verdict", flipped, True)
+    # Verdict changes on any row are regressions...
+    for i in (0, 1):
+        flipped = json.loads(json.dumps(baseline))
+        flipped["rows"][i]["num_true"] = 1
+        flipped["rows"][i]["num_unsolved"] = 1
+        expect(f"changed verdict in row {i}", flipped, True)
+        # ...unless the table's rows are all budgeted (skip_rows).
+        expect(f"skipped rows, verdict in row {i}", flipped, False,
+               use_policy=dict(policy, skip_rows=True))
     missing_row = json.loads(json.dumps(baseline))
-    missing_row["rows"] = [budget_row]
+    missing_row["rows"] = [other_row]
     expect("disappeared row", missing_row, True)
 
     # Work counters are exact on every gated row...
     for key in ("sat_propagations", "sat_conflicts", "max_frames"):
-        more_work = json.loads(json.dumps(baseline))
-        more_work["rows"][0][key] += 1
-        expect(f"changed {key}", more_work, True)
+        for i in (0, 1):
+            more_work = json.loads(json.dumps(baseline))
+            more_work["rows"][i][key] += 1
+            expect(f"changed {key} in row {i}", more_work, True)
     less_work = json.loads(json.dumps(baseline))
     less_work["rows"][0]["sat_propagations"] -= 1
     expect("lower sat_propagations", less_work, True)
-    # ...and free everywhere else: seconds and skipped configs may drift.
+    # ...and free everywhere else: seconds and ungated fields may drift.
     free_work = json.loads(json.dumps(baseline))
     free_work["rows"][0]["seconds"] = 3.0
     free_work["rows"][0]["simp_vars_eliminated"] = 5
-    free_work["rows"][1]["sat_propagations"] += 1
     expect("ungated work drift", free_work, False)
 
     # A min-gated metric at zero is a regression; so is losing it.
