@@ -53,10 +53,19 @@ bool same_verdicts(const mp::MultiResult& a, const mp::MultiResult& b,
   return true;
 }
 
+// The first holding property whose fault-free engine asked consecution
+// queries of its own: it started from the shard prelude another engine
+// built, so its queries were not the prelude's mining, which runs once
+// per shard in whichever engine starts up first. Its engines on every
+// retry rung ask them again, so an ic3.consecution fault pinned to it
+// fires.
 long long first_holding_property(const mp::MultiResult& r) {
   for (std::size_t p = 0; p < r.per_property.size(); ++p) {
-    if (r.per_property[p].verdict == mp::PropertyVerdict::HoldsLocally ||
-        r.per_property[p].verdict == mp::PropertyVerdict::HoldsGlobally) {
+    const mp::PropertyResult& pr = r.per_property[p];
+    if ((pr.verdict == mp::PropertyVerdict::HoldsLocally ||
+         pr.verdict == mp::PropertyVerdict::HoldsGlobally) &&
+        pr.engine_stats.consecution_queries > 0 &&
+        pr.engine_stats.prelude_builds == 0) {
       return static_cast<long long>(p);
     }
   }

@@ -26,6 +26,8 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats) {
   metrics.add("ic3.solver_rebuilds", stats.solver_rebuilds);
   metrics.add("ic3.mined_invariants", stats.mined_invariants);
   metrics.add("ic3.mining_sim_settled", stats.mining_sim_settled);
+  metrics.add("ic3.prelude_builds", stats.prelude_builds);
+  metrics.add("ic3.prelude_reused", stats.prelude_reused);
   metrics.add("ic3.solver_contexts_created", stats.solver_contexts_created);
   metrics.add("ic3.template_builds", stats.template_builds);
   metrics.add("ic3.template_instantiations", stats.template_instantiations);
@@ -46,7 +48,9 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats) {
 
 namespace {
 
-// Mining-sweep size: words of 64 patterns, and steps per word.
+// Mining-sweep size: words of 64 patterns, and steps per word. Fixed: the
+// sweep only saves queries, and a prelude's sweep must be the same for
+// every engine that shares it.
 constexpr int kMiningSimWords = 4;
 constexpr int kMiningSimSteps = 64;
 
@@ -65,7 +69,16 @@ std::vector<char> settle_by_simulation(
   path.push_back(ts.property_lit(target));
   for (std::size_t j : assumed) path.push_back(ts.property_lit(j));
 
-  Rng rng((target + 1) * 0x9e3779b97f4a7c15ULL);
+  // Seeded by the conjunction, not by which member is the target; a lone
+  // target {t} keeps the seed (t + 1)·φ.
+  std::vector<std::size_t> conjunction = assumed;
+  conjunction.push_back(target);
+  std::sort(conjunction.begin(), conjunction.end());
+  std::uint64_t seed = 0;
+  for (std::size_t p : conjunction) {
+    seed = (seed ^ (p + 1)) * 0x9e3779b97f4a7c15ULL;
+  }
+  Rng rng(seed);
   aig::Simulator64 sim(aig);
   std::vector<std::uint64_t> state(ts.num_latches());
   std::vector<std::uint64_t> inputs(ts.num_inputs());
@@ -122,6 +135,8 @@ Ic3::Ic3(const ts::TransitionSystem& ts, std::size_t target_prop,
     prof_lift_ = opts_.profile.slot("ic3/lift");
     prof_mic_ = opts_.profile.slot("ic3/mic");
     prof_push_ = opts_.profile.slot("ic3/push");
+    prof_seed_validate_ = opts_.profile.slot("ic3/seed_validate");
+    prof_mine_sim_ = opts_.profile.slot("ic3/mine_sim");
     prof_replay_ = opts_.profile.slot("cnf/replay");
     prof_encode_ = opts_.profile.slot("cnf/encode");
   }
@@ -466,6 +481,7 @@ void Ic3::add_inf_cube(const ts::Cube& cube) {
                 level.end());
   }
   inf_cubes_.push_back(cube);
+  if (cube.size() == 1) unit_stamp(cube[0]) = kHeld;
   if (monolithic()) {
     mono().add_blocking_clause(cube, MonolithicFrameSolver::kFrameInf);
   } else {
@@ -508,38 +524,115 @@ sat::SolveResult Ic3::checked(sat::SolveResult r) const {
   throw Timeout{};
 }
 
-// --- seed clause validation (clause re-use, §6-B/§7-B) ---------------------
+// --- start-up: the prelude (clause re-use §6-B/§7-B, mining) ---------------
 
-void Ic3::validate_seed_clauses() {
-  // Keep the largest subset R of the seeds such that
-  //   I → R  and  R ∧ constr ∧ assumed ∧ T → R'.
+void Ic3::start_up() {
+  // A start-up a budget expiry or a fault cut short replays from a clean
+  // slate.
+  if (mono_) {
+    absorb_stats(*mono_);
+    mono_.reset();
+  }
+  if (inf_solver_) {
+    absorb_stats(*inf_solver_);
+    inf_solver_.reset();
+  }
+  inf_cubes_.clear();
+  unit_stamps_.assign(2 * ts_.num_latches(), 0);
+
+  const std::vector<ts::Cube>& seeds = opts_.seed_clauses;
+  Ic3PreludeMemo* memo = opts_.prelude_memo;
+  if (memo != nullptr && seeds != *memo->seeds_) {
+    // The memo's prelude extends only to seeds that contain its snapshot.
+    std::vector<ts::Cube> have = seeds;
+    std::vector<ts::Cube> need = *memo->seeds_;
+    std::sort(have.begin(), have.end());
+    std::sort(need.begin(), need.end());
+    if (!std::includes(have.begin(), have.end(), need.begin(), need.end())) {
+      memo = nullptr;
+    }
+  }
+  if (memo == nullptr) {
+    build_prelude(seeds, nullptr);
+    return;
+  }
+
+  std::shared_ptr<const Ic3Prelude> shared;
+  bool built = false;
+  {
+    base::MutexLock lock(memo->mutex_);
+    if (memo->prelude_ == nullptr) {
+      // The first engine to start up builds the prelude over the snapshot
+      // in its own contexts and publishes what it installed.
+      Ic3Prelude prelude;
+      prelude.seeds_dropped = build_prelude(*memo->seeds_, nullptr);
+      prelude.inf_cubes = inf_cubes_;
+      prelude.seeds_kept = inf_cubes_.size() - stats_.mined_invariants;
+      prelude.unit_stamps = unit_stamps_;
+      memo->prelude_ = std::make_shared<const Ic3Prelude>(std::move(prelude));
+      built = true;
+    }
+    shared = memo->prelude_;
+  }
+  if (seeds == *memo->seeds_) {
+    if (!built) adopt_prelude(*shared);
+  } else {
+    build_prelude(seeds, shared.get());
+  }
+  if (!built) stats_.prelude_reused++;
+}
+
+std::vector<ts::Cube> Ic3::build_prelude(const std::vector<ts::Cube>& seeds,
+                                         const Ic3Prelude* base) {
+  std::vector<ts::Cube> fixed;  // base's kept cubes, sorted
+  if (base != nullptr) {
+    fixed.assign(base->inf_cubes.begin(),
+                 base->inf_cubes.begin() +
+                     static_cast<std::ptrdiff_t>(base->seeds_kept));
+    std::sort(fixed.begin(), fixed.end());
+  }
+  auto in = [](const std::vector<ts::Cube>& sorted, const ts::Cube& c) {
+    return std::binary_search(sorted.begin(), sorted.end(), c);
+  };
+
+  // Seed re-validation: keep the largest subset R of the seeds such that
+  //   I → R  and  R ∧ constr ∧ path ∧ T → R'.
   // Initial-state containment is syntactic; self-inductiveness is computed
   // as a fixpoint: repeatedly drop clauses whose consecution fails
-  // relative to the surviving set.
+  // relative to the surviving set (plus base's kept cubes).
   std::vector<ts::Cube> candidates;
-  for (const ts::Cube& c : opts_.seed_clauses) {
+  std::vector<ts::Cube> dropped;
+  bool fresh = base == nullptr;  // some seed is new to base
+  for (const ts::Cube& c : seeds) {
+    if (base != nullptr && in(fixed, c)) continue;
+    if (base != nullptr && !in(base->seeds_dropped, c)) fresh = true;
     if (!c.empty() && ts_.cube_disjoint_from_init(c)) {
       candidates.push_back(c);
     } else {
-      stats_.seed_clauses_dropped++;
+      dropped.push_back(c);
     }
+  }
+  if (!fresh) {
+    adopt_prelude(*base);
+    return {};
   }
 
   while (!candidates.empty()) {
     std::unique_ptr<FrameSolver> checker = make_checker();
+    for (const ts::Cube& c : fixed) checker->add_blocking_clause(c);
     for (const ts::Cube& c : candidates) checker->add_blocking_clause(c);
 
     std::vector<ts::Cube> survivors;
     for (const ts::Cube& c : candidates) {
       // ¬c is already part of the clause set, so consecution relative to
       // the candidate set is exactly query R ∧ T ∧ c' (no extra negation).
-      sat::SolveResult r =
-          checked(checker->query_consecution(c, /*add_negation=*/false,
-                                             nullptr));
-      if (r == sat::SolveResult::Unsat) {
+      obs::ProfileTimer timer(prof_seed_validate_);
+      if (checked(checker->query_consecution(c, /*add_negation=*/false,
+                                             nullptr)) ==
+          sat::SolveResult::Unsat) {
         survivors.push_back(c);
       } else {
-        stats_.seed_clauses_dropped++;
+        dropped.push_back(c);
       }
     }
     absorb_stats(*checker);
@@ -547,8 +640,89 @@ void Ic3::validate_seed_clauses() {
     candidates = std::move(survivors);
   }
 
-  inf_cubes_ = std::move(candidates);
-  stats_.seed_clauses_kept = inf_cubes_.size();
+  // F_inf: base's (its g + 1 stamps go stale by themselves as F_inf grows),
+  // then the kept seeds in seed order, then the mined singletons.
+  if (base != nullptr && inf_cubes_.empty()) {
+    inf_cubes_ = base->inf_cubes;
+    unit_stamps_ = base->unit_stamps;
+  }
+  for (const ts::Cube& c : candidates) {
+    // A kept seed base mined is in F_inf already.
+    if (base != nullptr && c.size() == 1 && unit_held(c[0])) continue;
+    if (mono_ || inf_solver_) {
+      add_inf_cube(c);
+    } else {
+      inf_cubes_.push_back(c);  // installed when the context is made
+      if (c.size() == 1) unit_stamp(c[0]) = kHeld;
+    }
+  }
+  mine_singletons(/*sweep=*/base == nullptr);
+  finish_start_up(fixed.size() + candidates.size());
+  if (base == nullptr) stats_.prelude_builds++;
+  std::sort(dropped.begin(), dropped.end());
+  return dropped;
+}
+
+void Ic3::adopt_prelude(const Ic3Prelude& prelude) {
+  inf_cubes_ = prelude.inf_cubes;
+  unit_stamps_ = prelude.unit_stamps;
+  finish_start_up(prelude.seeds_kept);
+}
+
+void Ic3::finish_start_up(std::size_t kept) {
+  stats_.seed_clauses_kept = kept;
+  stats_.seed_clauses_dropped = opts_.seed_clauses.size() - kept;
+  stats_.mined_invariants = inf_cubes_.size() - kept;
+  // Start-up is an engine's first work: the only clauses added so far are
+  // the mined ones.
+  stats_.clauses_added = stats_.mined_invariants;
+  stats_.mining_sim_settled = static_cast<std::uint64_t>(
+      std::count(unit_stamps_.begin(), unit_stamps_.end(), kLive));
+}
+
+void Ic3::mine_singletons(bool sweep) {
+  // Candidates: latch literals that contradict the reset and are not
+  // already F_inf clauses, in latch order.
+  std::vector<ts::StateLit> open;
+  for (std::size_t i = 0; i < ts_.num_latches(); ++i) {
+    for (bool value : {false, true}) {
+      const ts::StateLit l{static_cast<int>(i), value};
+      if (!unit_held(l) && ts_.cube_disjoint_from_init({l})) {
+        open.push_back(l);
+      }
+    }
+  }
+  if (sweep && !open.empty()) {
+    obs::ProfileTimer timer(prof_mine_sim_);
+    const std::vector<char> settled =
+        settle_by_simulation(ts_, target_prop_, opts_.assumed, open);
+    for (std::size_t ci = 0; ci < open.size(); ++ci) {
+      if (settled[ci]) unit_stamp(open[ci]) = kLive;
+    }
+  }
+  std::erase_if(open,
+                [&](const ts::StateLit& l) { return unit_stamp(l) == kLive; });
+
+  // A few passes so that mutually dependent singletons (a latch whose
+  // inductiveness needs another mined clause) settle; designs rarely need
+  // more than two.
+  for (int pass = 0; pass < 3; ++pass) {
+    bool changed = false;
+    for (const ts::StateLit& l : open) {
+      if (unit_held(l)) continue;
+      const ts::Cube c{l};
+      if (checked(counted_consecution(
+              prof_consecution_, &Ic3Stats::consecution_queries, kLevelInf,
+              c, /*add_negation=*/true, nullptr)) ==
+          sat::SolveResult::Unsat) {
+        add_inf_cube(c);
+        changed = true;
+      } else {
+        unit_stamp(l) = sat_stamp();
+      }
+    }
+    if (!changed) break;
+  }
 }
 
 void Ic3::add_lemma_candidates(std::vector<ts::Cube> cubes) {
@@ -568,18 +742,19 @@ void Ic3::absorb_lemma_candidates() {
       stats_.lemmas_rejected++;
       continue;
     }
-    bool known = false;
-    for (const ts::Cube& have : inf_cubes_) {
-      if (ts::cube_subsumes(have, c)) {
-        known = true;
-        break;
-      }
-    }
+    // A unit is known iff F_inf holds that very unit (no other non-empty
+    // cube subsumes it), which its stamp records.
+    const bool unit = c.size() == 1;
+    const bool known =
+        unit ? unit_held(c[0])
+             : std::any_of(inf_cubes_.begin(), inf_cubes_.end(),
+                           [&](const ts::Cube& have) {
+                             return ts::cube_subsumes(have, c);
+                           });
     if (known) {
       stats_.lemmas_known++;  // already proven (e.g. via the ClauseDb)
       continue;
     }
-    const bool unit = c.size() == 1;
     if (unit && unit_settled(c[0])) {
       stats_.lemmas_rejected++;
       stats_.lemmas_settled++;
@@ -596,60 +771,6 @@ void Ic3::absorb_lemma_candidates() {
       stats_.lemmas_rejected++;
       if (unit) unit_stamp(c[0]) = sat_stamp();
     }
-  }
-}
-
-void Ic3::mine_singleton_invariants() {
-  if (unit_stamps_.empty()) unit_stamps_.assign(2 * ts_.num_latches(), 0);
-  // Candidates: latch literals that contradict the reset and are not
-  // already F_inf clauses, in latch order.
-  std::vector<ts::StateLit> candidates;
-  for (std::size_t i = 0; i < ts_.num_latches(); ++i) {
-    for (bool value : {false, true}) {
-      ts::Cube c{ts::StateLit{static_cast<int>(i), value}};
-      if (!ts_.cube_disjoint_from_init(c)) continue;
-      bool known = false;
-      for (const ts::Cube& have : inf_cubes_) {
-        if (ts::cube_subsumes(have, c)) known = true;
-      }
-      if (!known) candidates.push_back(c[0]);
-    }
-  }
-  if (candidates.empty()) return;
-
-  // done[ci]: settled by the sweep (its query would answer Sat) or mined.
-  // A literal's sweep flag does not depend on the other candidates and a
-  // mined literal is never flagged, so a resumed Mining phase recomputes
-  // the same count.
-  std::vector<char> done =
-      settle_by_simulation(ts_, target_prop_, opts_.assumed, candidates);
-  stats_.mining_sim_settled =
-      static_cast<std::uint64_t>(std::count(done.begin(), done.end(), 1));
-  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (done[ci]) unit_stamp(candidates[ci]) = kLive;
-  }
-
-  // A few passes so that mutually dependent singletons (a latch whose
-  // inductiveness needs another mined clause) settle; designs rarely need
-  // more than two.
-  for (int pass = 0; pass < 3; ++pass) {
-    bool changed = false;
-    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (done[ci]) continue;
-      ts::Cube c{candidates[ci]};
-      if (checked(counted_consecution(
-              prof_consecution_, &Ic3Stats::consecution_queries, kLevelInf,
-              c, /*add_negation=*/true, nullptr)) ==
-          sat::SolveResult::Unsat) {
-        add_inf_cube(c);
-        stats_.mined_invariants++;
-        done[ci] = 1;
-        changed = true;
-      } else {
-        unit_stamp(candidates[ci]) = sat_stamp();
-      }
-    }
-    if (!changed) break;
   }
 }
 
@@ -895,12 +1016,8 @@ Ic3Result Ic3::run(const Ic3Budget& budget) {
     return result;
   }
   try {
-    if (phase_ == Phase::SeedValidation) {
-      validate_seed_clauses();
-      phase_ = Phase::Mining;
-    }
-    if (phase_ == Phase::Mining) {
-      mine_singleton_invariants();
+    if (phase_ == Phase::StartUp) {
+      start_up();
       ensure_frame(0);
       phase_ = Phase::Depth0;
     }

@@ -5,7 +5,8 @@
 //    constraints (§7-A, ablated in Tables VIII/IX);
 //  * strengthening-clause re-use: seed clauses from earlier runs are
 //    re-validated (largest self-inductive subset) and installed at F_∞
-//    (§6-B, §7-B, ablated in Table VII);
+//    (§6-B, §7-B, ablated in Table VII), through a start-up "prelude"
+//    that engines sharing a path conjunction compute once (Ic3PreludeMemo);
 //  * inductive invariant export for the clause database;
 //  * counterexample traces built from lifted obligation chains, with the
 //    universal-lifting property making reconstruction purely simulative.
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "base/sync.h"
 #include "base/timer.h"
 #include "cnf/template.h"
 #include "ic3/frames.h"
@@ -32,6 +34,51 @@ class TaskProgress;
 
 namespace javer::ic3 {
 
+// IC3's start-up facts for one path conjunction (the target plus the
+// assumed properties) over one seed set: what an engine installs at F_inf
+// before its first bad-state query. They depend on the conjunction and the
+// seeds only, never on which member is the target, so every engine of a
+// JA shard can start from one copy.
+struct Ic3Prelude {
+  // F_inf: the seeds' largest self-inductive subset in seed order (the
+  // first `seeds_kept` cubes), then the mined singleton invariants in
+  // mining order.
+  std::vector<ts::Cube> inf_cubes;
+  std::size_t seeds_kept = 0;
+  // The seeds left out of F_inf (empty, meeting I, or dropped by the
+  // fixpoint), sorted. A larger seed set that adds nothing else keeps
+  // exactly the same subset.
+  std::vector<ts::Cube> seeds_dropped;
+  // What is known about each singleton's F_inf consecution query once
+  // F_inf is `inf_cubes`, indexed by 2·latch + value (Ic3::unit_stamps_).
+  std::vector<std::uint32_t> unit_stamps;
+};
+
+// A shard's prelude for one path conjunction, over the seed snapshot the
+// shard's ClauseDb held before dispatch. The first engine that starts up
+// builds it in its own contexts, under the memo's lock, inside its own
+// run() slice, and publishes what it installed; a build cut short by a
+// budget expiry or a fault leaves the memo empty and the next engine
+// builds it again. Engines whose seeds grew past the snapshot extend it.
+// Thread-safe; must outlive its engines.
+class Ic3PreludeMemo {
+ public:
+  explicit Ic3PreludeMemo(std::shared_ptr<const std::vector<ts::Cube>> seeds)
+      : seeds_(std::move(seeds)) {}
+
+  // The built prelude, or null before the first complete build.
+  std::shared_ptr<const Ic3Prelude> prelude() const {
+    base::MutexLock lock(mutex_);
+    return prelude_;
+  }
+
+ private:
+  friend class Ic3;
+  const std::shared_ptr<const std::vector<ts::Cube>> seeds_;
+  mutable base::Mutex mutex_;
+  std::shared_ptr<const Ic3Prelude> prelude_ GUARDED_BY(mutex_);
+};
+
 struct Ic3Options {
   // Property indices assumed to hold on non-final steps (local proofs).
   // Empty = global proof.
@@ -44,6 +91,11 @@ struct Ic3Options {
   // Candidate invariant clauses from earlier runs, as cubes (clause =
   // negation of cube). Re-validated before use.
   std::vector<ts::Cube> seed_clauses;
+  // Shared start-up (see Ic3PreludeMemo) for engines whose {target} ∪
+  // assumed set is the memo's. Used only when `seed_clauses` contain the
+  // memo's snapshot; otherwise, or when null, the engine builds its own
+  // prelude from `seed_clauses`.
+  Ic3PreludeMemo* prelude_memo = nullptr;
   // Preprocess each solver context's transition-relation CNF (subsumption
   // + bounded variable elimination, sat/simp/) before solving.
   bool simplify = false;
@@ -75,9 +127,10 @@ struct Ic3Options {
   // Phase profiler (obs/profile.h): per-SAT-query latency histograms for
   // consecution / bad_query / lift / mic / push plus CNF encode/replay,
   // keyed by this sink's (shard, property). The sample counts of the
-  // query phases equal the matching Ic3Stats counters exactly (seed
-  // validation is neither counted nor profiled). Disabled sink = one
-  // branch per query, no clock reads.
+  // query phases equal the matching Ic3Stats counters exactly; seed
+  // validation queries are profiled under ic3/seed_validate and the
+  // mining simulation sweep under ic3/mine_sim, neither counted in
+  // Ic3Stats. Disabled sink = one branch per query, no clock reads.
   obs::ProfileSink profile;
   // Live progress cell (obs/monitor.h): the budget poll publishes
   // frames/obligations/activity through it, and a pending soft-preempt
@@ -100,6 +153,12 @@ struct Ic3Stats {
   // Singleton-mining candidates the simulation sweep settled (seen on a
   // live path, hence never inductive) without a SAT query.
   std::uint64_t mining_sim_settled = 0;
+  // Start-up: preludes this engine built from scratch (each one
+  // simulation sweep, seed fixpoint and mining pass), and starts from a
+  // memo prelude another engine built. A finished start-up counts one of
+  // the two.
+  std::uint64_t prelude_builds = 0;
+  std::uint64_t prelude_reused = 0;
   // Encode-reuse accounting (cnf/template.h + the monolithic solver).
   // A "context" is any SAT solver this engine constructed (frame, lift,
   // F_inf, monolithic, seed checker — including rebuilds); encode_seconds
@@ -147,7 +206,8 @@ void fold_stats(obs::MetricsRegistry& metrics, const Ic3Stats& stats);
 // Candidates must contradict their latch's reset. A flagged literal is
 // reachable in the constrained system, so its negation holds in no valid
 // F_inf and its consecution query would answer Sat. Returns one flag per
-// candidate; deterministic in `target`.
+// candidate; deterministic in the path conjunction {target} ∪ assumed (not
+// in which member is the target), so engines sharing it share the sweep.
 std::vector<char> settle_by_simulation(
     const ts::TransitionSystem& ts, std::size_t target,
     const std::vector<std::size_t>& assumed,
@@ -208,10 +268,13 @@ class Ic3 {
 
   // F_inf in insertion order: validated seeds, mined singletons, promoted
   // obligations, accepted lemmas. Each is invariant under this engine's
-  // assumption set. After seed validation the vector only grows, so a
-  // caller can take the cubes a slice added as the suffix past the
-  // previous size.
+  // assumption set. After start-up the vector only grows, so a caller can
+  // take the cubes a slice added as the suffix past the previous size.
   const std::vector<ts::Cube>& inf_lemmas() const { return inf_cubes_; }
+  // The singleton query stamps (see unit_stamps_); empty before start-up.
+  const std::vector<std::uint32_t>& unit_stamps() const {
+    return unit_stamps_;
+  }
 
  private:
   struct Timeout {};  // internal control-flow signal: hard budget expiry
@@ -220,11 +283,13 @@ class Ic3 {
   // Where a resumed run() picks up. Each stage is idempotent or keeps its
   // progress in member state, so replaying a suspended stage is sound.
   enum class Phase : std::uint8_t {
-    SeedValidation,  // validate_seed_clauses (restarts cleanly on resume)
-    Mining,          // mine_singleton_invariants (skips known cubes)
-    Depth0,          // initial-state property check
-    Main,            // blocking / propagation loop
-    Done,            // terminal verdict reached
+    // start_up: fetch or build the prelude, installing F_inf and the
+    // unit stamps. A suspended start-up restarts from a clean slate (and
+    // may then find the memo filled by a sibling).
+    StartUp,
+    Depth0,  // initial-state property check
+    Main,    // blocking / propagation loop
+    Done,    // terminal verdict reached
   };
 
   struct Obligation {
@@ -277,7 +342,7 @@ class Ic3 {
   StepContext::Config base_config(bool init_units);
   std::unique_ptr<FrameSolver> make_solver(int k,
                                            bool constraint_units = true);
-  // Throwaway context for seed-clause validation (template-backed when
+  // Throwaway context for the seed fixpoint rounds (template-backed when
   // templates are on, so the fixpoint iterations stay cheap).
   std::unique_ptr<FrameSolver> make_checker();
   void rebuild_mono();
@@ -334,22 +399,49 @@ class Ic3 {
   // An initial state contained in `cube` (which intersects I).
   std::vector<bool> initial_state_in_cube(const ts::Cube& cube) const;
 
-  // --- proof ---
-  void validate_seed_clauses();
-  // Drains lemma_queue_: re-validates each candidate and installs the
-  // survivors at F_inf. Runs after the mining phase so F_inf plumbing
-  // exists; on budget expiry the untested remainder is dropped (lemma
-  // traffic is best-effort). A unit candidate whose stamp already
-  // answers its query (unit_settled) is rejected without one.
-  void absorb_lemma_candidates();
-  // One-time pass installing every latch literal that contradicts its
+  // --- start-up (the prelude) ---
+  // Installs F_inf and the unit stamps. With a memo whose snapshot the
+  // seeds contain, from its prelude: the first engine builds it over the
+  // snapshot in its own contexts and publishes it, the others adopt it,
+  // and seeds grown past the snapshot extend it (build_prelude with a
+  // base). Otherwise the engine builds its own.
+  void start_up();
+  // Builds the prelude for `seeds` in this engine's contexts:
+  //  * the Houdini fixpoint keeps the seeds' largest self-inductive subset
+  //    (one checker context per round; a round that drops nothing ends
+  //    it), each query one ic3/seed_validate sample;
+  //  * mine_singletons installs the inductive singletons.
+  // With `base` (a prelude over seeds that `seeds` contain), F_inf starts
+  // as base's. Only the seeds base did not keep are re-checked, with its
+  // kept cubes as fixed clauses — a Houdini fixpoint never drops a member
+  // of an inductive subset of its candidates, so the kept set is still
+  // exactly the seeds' — and base's sweep is reused. When no seed is new
+  // to base, base is adopted as is, stamps included. Returns the dropped
+  // seeds, sorted (the memo keeps them to spot new seeds).
+  std::vector<ts::Cube> build_prelude(const std::vector<ts::Cube>& seeds,
+                                      const Ic3Prelude* base);
+  void adopt_prelude(const Ic3Prelude& prelude);
+  // The start-up stats of an F_inf that holds `kept` seeds; every other
+  // F_inf cube was mined.
+  void finish_start_up(std::size_t kept);
+  // Singleton mining: installs every latch literal that contradicts its
   // reset and is one-step inductive relative to the path constraints as
   // an F_inf clause. Under JA assumptions this catches the "other
   // property forbids the trigger" invariants instantly (e.g. a stage
   // latch that can only rise when an assumed property has already
   // failed), which frame-relative generalization discovers only slowly.
-  // Candidates settled by settle_by_simulation are skipped without a query.
-  void mine_singleton_invariants();
+  // With `sweep`, one simulation sweep (ic3/mine_sim) first settles the
+  // candidates seen on a live path; candidates already stamped live are
+  // skipped without a query either way.
+  void mine_singletons(bool sweep);
+
+  // --- proof ---
+  // Drains lemma_queue_: re-validates each candidate and installs the
+  // survivors at F_inf. Runs after start-up so F_inf plumbing exists; on
+  // budget expiry the untested remainder is dropped (lemma traffic is
+  // best-effort). A unit candidate whose stamp already answers its query
+  // (unit_settled) is rejected without one.
+  void absorb_lemma_candidates();
   // unit_stamps_ slot of a singleton cube {l}.
   std::uint32_t& unit_stamp(const ts::StateLit& l) {
     return unit_stamps_[2 * static_cast<std::size_t>(l.latch) +
@@ -359,6 +451,8 @@ class Ic3 {
   std::uint32_t sat_stamp() const {
     return static_cast<std::uint32_t>(inf_cubes_.size()) + 1;
   }
+  // True when F_inf holds the singleton {l}.
+  bool unit_held(const ts::StateLit& l) { return unit_stamp(l) == kHeld; }
   // True when {l}'s F_inf consecution query is known to answer Sat.
   bool unit_settled(const ts::StateLit& l) {
     const std::uint32_t s = unit_stamp(l);
@@ -391,7 +485,7 @@ class Ic3 {
   Deadline slice_deadline_;
   bool slicing_ = false;
   std::uint64_t slice_conflict_limit_ = 0;  // absolute; 0 = unlimited
-  Phase phase_ = Phase::SeedValidation;
+  Phase phase_ = Phase::StartUp;
   CheckStatus final_status_ = CheckStatus::Unknown;
   // One simplification of the transition relation serves every frame
   // context this run creates (they encode identically). Direct-encode
@@ -412,16 +506,22 @@ class Ic3 {
   std::vector<ts::Cube> inf_cubes_;  // F_inf: seeds + globally inductive
   std::vector<ts::Cube> lemma_queue_;   // candidates pending re-validation
   // What is known about the F_inf consecution query of each singleton
-  // cube {l}, indexed by 2·latch + value (sized by the mining phase):
+  // cube {l}, indexed by 2·latch + value (installed from the prelude):
   //   kLive  the mining sweep saw l on a live path: Sat under every F_inf;
+  //   kHeld  F_inf holds {l} (add_inf_cube keeps this current), so l is
+  //          no mining candidate and a delivered {l} is already known;
   //   g + 1  the query answered Sat while inf_cubes_.size() == g;
   //   0      nothing known.
   // A g + 1 stamp stays exact while the size is still g: F_inf queries
   // see only the F_inf clauses and the path constraints, the constraints
-  // are fixed for the engine's life, and after seed validation
-  // inf_cubes_ only grows (add_inf_cube appends, nothing erases), so an
-  // equal size means the same formula and hence the same answer.
+  // are fixed for the engine's life, and after start-up inf_cubes_ only
+  // grows (add_inf_cube appends, nothing erases), so an equal size means
+  // the same formula and hence the same answer. An engine that starts
+  // from a prelude's F_inf and stamps and then appends to F_inf keeps the
+  // stamps: every g + 1 among them falls below the new size and never
+  // matches again.
   static constexpr std::uint32_t kLive = ~std::uint32_t{0};
+  static constexpr std::uint32_t kHeld = kLive - 1;
   std::vector<std::uint32_t> unit_stamps_;
 
   std::vector<Obligation> pool_;
@@ -442,6 +542,8 @@ class Ic3 {
   obs::LatencyHisto* prof_lift_ = nullptr;
   obs::LatencyHisto* prof_mic_ = nullptr;
   obs::LatencyHisto* prof_push_ = nullptr;
+  obs::LatencyHisto* prof_seed_validate_ = nullptr;
+  obs::LatencyHisto* prof_mine_sim_ = nullptr;
   obs::LatencyHisto* prof_replay_ = nullptr;
   obs::LatencyHisto* prof_encode_ = nullptr;
 };

@@ -138,6 +138,7 @@ void PropertyTask::ensure_engine(ClauseDb* db) {
   opts.assumed = assumed_;
   opts.lifting_respects_constraints = strict_lifting_;
   opts.template_cache = templates_;
+  opts.prelude_memo = prelude_memo_;
   opts.progress = progress_;
   // Time budgeting is the task's job: the internal engine deadline would
   // tick in wall-clock while *other* tasks hold the engine pool.
@@ -214,6 +215,10 @@ void PropertyTask::attach_templates(cnf::TemplateCache* templates) {
   templates_ = templates;
 }
 
+void PropertyTask::attach_prelude(ic3::Ic3PreludeMemo* memo) {
+  prelude_memo_ = memo;
+}
+
 void PropertyTask::resolve_fails(ts::Trace cex, int frames) {
   if (!open()) return;
   result_.frames = frames;
@@ -284,8 +289,10 @@ void PropertyTask::fail_slice(const std::string& reason) {
   result_.final_rung = rung_;
   engine_opts_ = degrade_for_rung(std::move(engine_opts_), rung_);
   if (rung_ >= num_ladder_rungs()) {
-    // "isolated": detach the lemma exchange along with seeds/prefilter.
+    // "isolated": detach the lemma exchange and the shared prelude along
+    // with seeds/prefilter.
     bus_ = nullptr;
+    prelude_memo_ = nullptr;
   }
   if (engine_opts_.metrics != nullptr) {
     engine_opts_.metrics->add("retry.attempts");

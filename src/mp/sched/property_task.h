@@ -104,9 +104,9 @@ ic3::Ic3Options make_ic3_options(const EngineOptions& engine, int shard,
 //   1  per-frame      monolithic solver -> classic one-context-per-frame
 //   2  direct-tseitin CNF template replay -> direct Tseitin encoding
 //   3  simplify-off   no SAT preprocessing pass
-//   4  isolated       no clause-reuse seeds, lemma exchange detached,
-//                     sim-prefilter off: the engine runs from first
-//                     principles with nothing shared
+//   4  isolated       no clause-reuse seeds, lemma exchange and shared
+//                     prelude detached, sim-prefilter off: the engine
+//                     runs from first principles with nothing shared
 // Pure helpers so tests can pin the rung order and contents.
 int num_ladder_rungs();
 const char* rung_name(int rung);
@@ -146,6 +146,13 @@ class PropertyTask {
   // coincide then encode the one-step cone once per run instead of once
   // each. The cache must outlive the task. Call before the first slice.
   void attach_templates(cnf::TemplateCache* templates);
+
+  // Points this task's engines at the start-up prelude its shard shares
+  // among the tasks with this task's {target} ∪ assumed set
+  // (ic3::Ic3PreludeMemo): the first engine to start up builds it, the
+  // rest start from it. The memo must outlive the task; the isolated
+  // retry rung detaches it. Call before the first slice.
+  void attach_prelude(ic3::Ic3PreludeMemo* memo);
 
   // Runs one engine slice (respecting the per-property time budget). When
   // `db` is non-null and clause re-use is on, the engine is seeded from it
@@ -221,6 +228,8 @@ class PropertyTask {
   std::uint64_t last_obligations_ = 0;
   // Shared template memo (null = the engine keeps a private one).
   cnf::TemplateCache* templates_ = nullptr;
+  // Shared start-up prelude (null = each engine builds its own).
+  ic3::Ic3PreludeMemo* prelude_memo_ = nullptr;
   // Lemma exchange plumbing (null = not attached).
   exchange::LemmaBus* bus_ = nullptr;
   std::size_t shard_ = 0;

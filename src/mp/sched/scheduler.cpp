@@ -1,6 +1,7 @@
 #include "mp/sched/scheduler.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -311,11 +312,14 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
     }
   }
 
-  // One shard per cluster: its own task pool, ClauseDb shard, and (for
-  // the hybrid policy) its own shared-unrolling BMC sweep.
+  // One shard per cluster: its own task pool, ClauseDb shard, start-up
+  // preludes, and (for the hybrid policy) its own shared-unrolling BMC
+  // sweep.
   struct Shard {
     std::size_t id = 0;
     int tag = -1;  // trace/profile/progress shard tag; -1 = unsharded
+    // Declared before `tasks`, whose engines point into them.
+    std::vector<std::unique_ptr<ic3::Ic3PreludeMemo>> preludes;
     std::vector<std::unique_ptr<PropertyTask>> tasks;
     std::unique_ptr<BmcSweep> sweep;
   };
@@ -334,6 +338,28 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
       shard_of[p] = static_cast<int>(i);
     }
     if (hybrid) s.sweep = std::make_unique<BmcSweep>(ts_, opts_, s.tag);
+
+    // One start-up prelude per path conjunction that two or more of the
+    // shard's tasks share (under local proofs, every non-ETF target's),
+    // over the seeds the shard's database holds before dispatch. ETF
+    // targets and global proofs have conjunctions of their own, so their
+    // engines build private preludes.
+    std::map<std::vector<std::size_t>, std::vector<PropertyTask*>> by_path;
+    for (auto& t : s.tasks) {
+      std::vector<std::size_t> path = t->assumed();
+      path.push_back(t->prop());
+      std::sort(path.begin(), path.end());
+      by_path[std::move(path)].push_back(t.get());
+    }
+    const auto start_seeds =
+        engine.clause_reuse
+            ? dbs.shard(i).shared_snapshot()
+            : std::make_shared<const std::vector<ts::Cube>>();
+    for (const auto& [path, group] : by_path) {
+      if (group.size() < 2) continue;
+      s.preludes.push_back(std::make_unique<ic3::Ic3PreludeMemo>(start_seeds));
+      for (PropertyTask* t : group) t->attach_prelude(s.preludes.back().get());
+    }
   }
 
   // Prefilter results: close every killed task (the cex is already

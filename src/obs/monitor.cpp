@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <ostream>
 
 #include "obs/metrics.h"
@@ -171,9 +172,12 @@ ProgressMonitor::Totals ProgressMonitor::run_watchdog(
         case ProgressState::kPending:
           break;
       }
-      t.max_frames = std::max(t.max_frames, cell->frames());
-      t.obligations += cell->obligations();
     }
+    // Run-level cells count too: the joint loop's aggregate engine
+    // publishes its frames and obligations on its own cell, not on the
+    // property cells it closes.
+    t.max_frames = std::max(t.max_frames, cell->frames());
+    t.obligations += cell->obligations();
     t.max_depth = std::max(t.max_depth, cell->depth());
 
     // Stall watchdog: one instant + metric per stall *episode* (the
@@ -252,8 +256,21 @@ void ProgressMonitor::render(std::ostream& out, const Totals& t,
   out << "\n";
 
   if (opts_.verbose && !final) {
-    // The stalest open cells first — the ones a human debugging a hung
-    // run wants to see.
+    // Engine cells (the ones other cells take their activity from) first,
+    // then the stalest open cells — the ones a human debugging a hung run
+    // wants to see.
+    std::vector<const TaskProgress*> engines;
+    for (const TaskProgress* cell : cells) {
+      if (cell->activity_source_ != nullptr) {
+        engines.push_back(cell->activity_source_);
+      }
+    }
+    const std::less<const TaskProgress*> order;
+    std::sort(engines.begin(), engines.end(), order);
+    engines.erase(std::unique(engines.begin(), engines.end()), engines.end());
+    auto is_engine = [&](const TaskProgress* cell) {
+      return std::binary_search(engines.begin(), engines.end(), cell, order);
+    };
     std::vector<TaskProgress*> open;
     for (TaskProgress* cell : cells) {
       if (!terminal(cell->state())) {
@@ -261,7 +278,8 @@ void ProgressMonitor::render(std::ostream& out, const Totals& t,
       }
     }
     std::sort(open.begin(), open.end(),
-              [](const TaskProgress* a, const TaskProgress* b) {
+              [&](const TaskProgress* a, const TaskProgress* b) {
+                if (is_engine(a) != is_engine(b)) return is_engine(a);
                 return a->last_activity_us() < b->last_activity_us();
               });
     if (open.size() > opts_.verbose_max_rows) {
@@ -281,6 +299,14 @@ void ProgressMonitor::render(std::ostream& out, const Totals& t,
                       static_cast<unsigned long long>(cell->obligations()),
                       cell->slice_scale(),
                       static_cast<unsigned long long>(cell->slices()),
+                      idle);
+      } else if (is_engine(cell)) {
+        std::snprintf(row, sizeof(row),
+                      "progress:   [s%d] engine %s frames=%d obls=%llu "
+                      "idle=%.2fs",
+                      cell->shard(), state_name(cell->state()),
+                      cell->frames(),
+                      static_cast<unsigned long long>(cell->obligations()),
                       idle);
       } else {
         std::snprintf(row, sizeof(row),

@@ -172,6 +172,10 @@ class ProgressBoard {
 
 struct MonitorOptions {
   double interval_seconds = 5.0;
+  // One row per open cell after each report line: engine cells (those
+  // other cells take their activity from) first, then the stalest.
+  // Report totals count every cell's frames and obligations, run-level
+  // ones included.
   bool verbose = false;
   double stall_seconds = 30.0;
   bool preempt = false;  // stalled tasks get a soft-suspend request

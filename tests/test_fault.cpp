@@ -95,12 +95,16 @@ long long first_holding_property(const mp::MultiResult& r) {
   return -1;
 }
 
-// A holding property whose standalone engine, under the degrade ladder's
-// last ("isolated") rung, still makes a consecution query. A persistent
-// ic3.consecution fault on it then fires on every rung, so the task must
-// run out of rungs. (Some holding properties close on the isolated rung
-// with no consecution query at all: the mining sweep settles every
-// candidate and the first frame is already a fixpoint.)
+// A holding property that makes a consecution query on every rung: its
+// engine in the fault-free run `r` made one; so does an engine that starts
+// from a shard prelude another engine built (whose mining already asked
+// every singleton query), as the task's engines on the lower rungs may;
+// and so does a standalone engine under the degrade ladder's last
+// ("isolated") rung. A persistent ic3.consecution fault on it then fires
+// on every rung, so the task must run out of rungs. (Some holding
+// properties close with no consecution query at all: the mining sweep
+// settles or the prelude answers every candidate and the first frame is
+// already a fixpoint.)
 long long holding_property_needing_consecution(
     const ts::TransitionSystem& ts, const mp::MultiResult& r,
     const mp::sched::EngineOptions& engine) {
@@ -108,8 +112,9 @@ long long holding_property_needing_consecution(
       mp::sched::degrade_for_rung(engine, mp::sched::num_ladder_rungs());
   for (std::size_t p = 0; p < r.per_property.size(); ++p) {
     const mp::PropertyVerdict v = r.per_property[p].verdict;
-    if (v != mp::PropertyVerdict::HoldsLocally &&
-        v != mp::PropertyVerdict::HoldsGlobally) {
+    if ((v != mp::PropertyVerdict::HoldsLocally &&
+         v != mp::PropertyVerdict::HoldsGlobally) ||
+        r.per_property[p].engine_stats.consecution_queries == 0) {
       continue;
     }
     ic3::Ic3Options opts;
@@ -120,6 +125,13 @@ long long holding_property_needing_consecution(
     opts.simplify = isolated.simplify;
     opts.solver_mode = isolated.ic3_solver;
     opts.use_template = isolated.ic3_use_template;
+    ic3::Ic3PreludeMemo memo(std::make_shared<const std::vector<ts::Cube>>());
+    ic3::Ic3Options shared = opts;
+    shared.prelude_memo = &memo;
+    ic3::Ic3(ts, p, shared).run();  // builds the memo
+    if (ic3::Ic3(ts, p, shared).run().stats.consecution_queries == 0) {
+      continue;
+    }
     ic3::Ic3 engine_run(ts, p, opts);
     if (engine_run.run().stats.consecution_queries > 0) {
       return static_cast<long long>(p);
@@ -421,31 +433,36 @@ TEST(FaultRecovery, PersistentFaultClimbsEveryRungThenClosesUnknown) {
 }
 
 TEST(FaultMatrix, EveryThrowingSiteLeavesSiblingsByteIdentical) {
-  aig::Aig aig = small_design(47, 5);
-  ts::TransitionSystem ts(aig);
-  mp::MultiResult clean = mp::sched::Scheduler(ts, hybrid_opts()).run();
-  long long target = first_holding_property(clean);
-  ASSERT_GE(target, 0);
+  // The first design, from seed 47 on, with a holding property that needs
+  // a consecution query on every rung.
+  for (std::uint64_t seed = 47; seed < 47 + 32; ++seed) {
+    aig::Aig aig = small_design(seed, 5);
+    ts::TransitionSystem ts(aig);
+    mp::MultiResult clean = mp::sched::Scheduler(ts, hybrid_opts()).run();
+    long long target =
+        holding_property_needing_consecution(ts, clean, hybrid_opts().engine);
+    if (target < 0) continue;
 
-  // Sites that are guaranteed to be exercised while proving a holding
-  // property; persistent faults there must quarantine exactly the target.
-  for (const char* site : {"sat.alloc", "ic3.consecution"}) {
-    mp::sched::SchedulerOptions so = hybrid_opts(
-        std::string(site) + "@1+:prop=" + std::to_string(target));
-    mp::MultiResult faulty = mp::sched::Scheduler(ts, so).run();
-    expect_same_verdicts(clean, faulty, site, target);
-    EXPECT_EQ(faulty.per_property[target].verdict,
-              mp::PropertyVerdict::Unknown)
-        << site;
-    EXPECT_GT(faulty.per_property[target].retries, 0) << site;
-    expect_holds_certify(ts, faulty);
-  }
+    // Sites that are guaranteed to be exercised while proving this
+    // holding property; persistent faults there must quarantine exactly
+    // the target.
+    for (const char* site : {"sat.alloc", "ic3.consecution"}) {
+      mp::sched::SchedulerOptions so = hybrid_opts(
+          std::string(site) + "@1+:prop=" + std::to_string(target));
+      mp::MultiResult faulty = mp::sched::Scheduler(ts, so).run();
+      expect_same_verdicts(clean, faulty, site, target);
+      EXPECT_EQ(faulty.per_property[target].verdict,
+                mp::PropertyVerdict::Unknown)
+          << site << " seed " << seed << " P" << target;
+      EXPECT_GT(faulty.per_property[target].retries, 0) << site;
+      expect_holds_certify(ts, faulty);
+    }
 
-  // ic3.mic only fires when generalization runs; either the target closed
-  // identically (fault never hit) or it was quarantined — never a flip.
-  {
-    mp::sched::SchedulerOptions so = hybrid_opts(
-        "ic3.mic@1+:prop=" + std::to_string(target));
+    // ic3.mic only fires when generalization runs; either the target
+    // closed identically (fault never hit) or it was quarantined — never
+    // a flip.
+    mp::sched::SchedulerOptions so =
+        hybrid_opts("ic3.mic@1+:prop=" + std::to_string(target));
     mp::MultiResult faulty = mp::sched::Scheduler(ts, so).run();
     expect_same_verdicts(clean, faulty, "ic3.mic", target);
     const mp::PropertyVerdict v = faulty.per_property[target].verdict;
@@ -453,7 +470,9 @@ TEST(FaultMatrix, EveryThrowingSiteLeavesSiblingsByteIdentical) {
                 v == mp::PropertyVerdict::Unknown)
         << "ic3.mic flipped the target verdict";
     expect_holds_certify(ts, faulty);
+    return;
   }
+  FAIL() << "no design with a holding property that needs a consecution query";
 }
 
 TEST(FaultMatrix, BmcSweepFaultQuarantinesTheSweepNotTheRun) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 
 #include "base/rng.h"
 #include "gen/random_design.h"
@@ -394,6 +396,182 @@ void check_delivered_units(std::uint64_t seed, std::size_t latches,
 TEST_P(Ic3RandomTest, DeliveredUnitsSplitLikeAFreshReplay) {
   check_delivered_units(GetParam() + 40000, 5, 24);
   check_delivered_units(GetParam() + 40000, 10, 60);
+}
+
+// --- the shared start-up prelude --------------------------------------------
+
+// A constrained random design (constrained_design) whose second property
+// is expected to fail, plus a property that asserts a latch against its
+// reset value, so it fails in the initial state unless no initial state
+// satisfies the constraints.
+aig::Aig prelude_design(std::uint64_t seed, std::size_t latches,
+                        std::size_t ands) {
+  aig::Aig aig = constrained_design(seed, latches, ands);
+  aig.properties()[1].expected_to_fail = true;
+  const aig::Latch& l = aig.latches()[0];
+  const aig::Lit lit = aig::Lit::make(l.var);
+  aig.add_property(l.reset == Ternary::True ? ~lit : lit, "off_reset");
+  return aig;
+}
+
+std::vector<std::size_t> without(std::vector<std::size_t> set,
+                                 std::size_t p) {
+  std::erase(set, p);
+  return set;
+}
+
+// Engines that start from a prelude a sibling built — same path
+// conjunction, another target — start from exactly the F_inf and unit
+// stamps a standalone engine computes, and so run identically; an engine
+// whose seeds grew past the prelude's snapshot keeps exactly the seeds a
+// standalone engine keeps. Verdicts match the explicit-state reference on
+// designs with constraints, an ETF property and a depth-0 failure.
+void check_prelude_fed_engines(std::uint64_t seed, std::size_t latches,
+                               std::size_t ands) {
+  aig::Aig aig = prelude_design(seed, latches, ands);
+  ts::TransitionSystem ts(aig);
+  const ref::ExplicitResult expected = ref::explicit_check(ts);
+  std::vector<std::size_t> eth;  // every property not expected to fail
+  for (std::size_t j = 0; j < ts.num_properties(); ++j) {
+    if (!ts.expected_to_fail(j)) eth.push_back(j);
+  }
+
+  Ic3Options base;
+  base.lifting_respects_constraints = true;  // no spurious local CEXs
+  base.time_limit_seconds = 30.0;
+  // The engine for target `t` under path conjunction `path`.
+  auto options = [&](const std::vector<std::size_t>& path, std::size_t t,
+                     const std::vector<ts::Cube>& seeds,
+                     Ic3PreludeMemo* memo) {
+    Ic3Options opts = base;
+    opts.assumed = without(path, t);
+    opts.seed_clauses = seeds;
+    opts.prelude_memo = memo;
+    return opts;
+  };
+
+  // Seeds, shaped like a ClauseDb snapshot (sorted, no duplicates): the
+  // JA proofs' invariants plus random one- and two-literal cubes, most of
+  // them not inductive. `grown` adds cubes the snapshot lacks.
+  Rng rng(seed);
+  auto random_cubes = [&](std::set<ts::Cube>& into, int n) {
+    for (int i = 0; i < n; ++i) {
+      ts::Cube c;
+      const std::size_t len = 1 + rng.below(2);
+      for (std::size_t k = 0; k < len; ++k) {
+        c.push_back(ts::StateLit{static_cast<int>(rng.below(ts.num_latches())),
+                                 rng.chance(1, 2)});
+      }
+      ts::sort_cube(c);
+      c.erase(std::unique(c.begin(), c.end(),
+                          [](const ts::StateLit& a, const ts::StateLit& b) {
+                            return a.latch == b.latch;
+                          }),
+              c.end());
+      into.insert(c);
+    }
+  };
+  std::set<ts::Cube> pool;
+  for (std::size_t p : eth) {
+    Ic3Result r = Ic3(ts, p, options(eth, p, {}, nullptr)).run();
+    pool.insert(r.invariant.begin(), r.invariant.end());
+  }
+  random_cubes(pool, 6);
+  const std::vector<ts::Cube> snapshot(pool.begin(), pool.end());
+  random_cubes(pool, 4);
+  const std::vector<ts::Cube> grown(pool.begin(), pool.end());
+
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    std::vector<std::size_t> path = without(eth, p);
+    path.push_back(p);
+    std::sort(path.begin(), path.end());
+    const std::size_t sibling = path[0] != p ? path[0] : path[1];
+    const std::string tag =
+        "seed " + std::to_string(seed) + " prop " + std::to_string(p);
+    const bool fails = expected.fails_locally(p);
+    auto check_verdict = [&](const Ic3Result& r, const std::string& what) {
+      ASSERT_EQ(r.status, fails ? CheckStatus::Fails : CheckStatus::Holds)
+          << tag << " " << what;
+      if (fails) {
+        EXPECT_TRUE(ts::is_local_cex(ts, r.cex, p, without(path, p)))
+            << tag << " " << what;
+      } else {
+        testutil::expect_valid_invariant(ts, p, without(path, p),
+                                         r.invariant);
+      }
+    };
+
+    Ic3 alone(ts, p, options(path, p, snapshot, nullptr));
+    const Ic3Result ra = alone.run();
+    check_verdict(ra, "standalone");
+    EXPECT_EQ(ra.stats.prelude_builds, 1u) << tag;
+    EXPECT_EQ(ra.stats.prelude_reused, 0u) << tag;
+
+    Ic3PreludeMemo memo(
+        std::make_shared<const std::vector<ts::Cube>>(snapshot));
+    Ic3(ts, sibling, options(path, sibling, snapshot, &memo)).run();
+    const std::shared_ptr<const Ic3Prelude> prelude = memo.prelude();
+    ASSERT_NE(prelude, nullptr) << tag;
+    Ic3 fed(ts, p, options(path, p, snapshot, &memo));
+    const Ic3Result rf = fed.run();
+    check_verdict(rf, "prelude-fed");
+    EXPECT_EQ(rf.stats.prelude_builds, 0u) << tag;
+    EXPECT_EQ(rf.stats.prelude_reused, 1u) << tag;
+    EXPECT_EQ(rf.frames, ra.frames) << tag;
+    EXPECT_EQ(fed.inf_lemmas(), alone.inf_lemmas()) << tag;
+    EXPECT_EQ(fed.unit_stamps(), alone.unit_stamps()) << tag;
+    EXPECT_EQ(rf.stats.seed_clauses_kept, ra.stats.seed_clauses_kept) << tag;
+    EXPECT_EQ(rf.stats.seed_clauses_dropped, ra.stats.seed_clauses_dropped)
+        << tag;
+    EXPECT_EQ(rf.stats.mined_invariants, ra.stats.mined_invariants) << tag;
+    EXPECT_EQ(rf.stats.mining_sim_settled, ra.stats.mining_sim_settled)
+        << tag;
+    EXPECT_LE(rf.stats.consecution_queries, ra.stats.consecution_queries)
+        << tag;
+
+    // The sibling's prelude is the one this target would have built, and
+    // it is the standalone engine's start-up F_inf.
+    Ic3PreludeMemo own(
+        std::make_shared<const std::vector<ts::Cube>>(snapshot));
+    Ic3(ts, p, options(path, p, snapshot, &own)).run();
+    ASSERT_NE(own.prelude(), nullptr) << tag;
+    EXPECT_EQ(own.prelude()->inf_cubes, prelude->inf_cubes) << tag;
+    EXPECT_EQ(own.prelude()->unit_stamps, prelude->unit_stamps) << tag;
+    EXPECT_EQ(own.prelude()->seeds_dropped, prelude->seeds_dropped) << tag;
+    ASSERT_LE(prelude->inf_cubes.size(), alone.inf_lemmas().size()) << tag;
+    EXPECT_TRUE(std::equal(prelude->inf_cubes.begin(),
+                           prelude->inf_cubes.end(),
+                           alone.inf_lemmas().begin()))
+        << tag;
+
+    // Seeds grown past the snapshot: the engine keeps exactly the seeds a
+    // standalone engine keeps (after the prelude's F_inf, in seed order).
+    Ic3 alone_grown(ts, p, options(path, p, grown, nullptr));
+    const Ic3Result rag = alone_grown.run();
+    Ic3 fed_grown(ts, p, options(path, p, grown, &memo));
+    const Ic3Result rfg = fed_grown.run();
+    check_verdict(rag, "standalone, grown seeds");
+    check_verdict(rfg, "prelude-fed, grown seeds");
+    EXPECT_EQ(rfg.stats.prelude_reused, 1u) << tag;
+    const std::size_t kept = rag.stats.seed_clauses_kept;
+    ASSERT_EQ(rfg.stats.seed_clauses_kept, kept) << tag;
+    const std::set<ts::Cube> fed_inf(fed_grown.inf_lemmas().begin(),
+                                     fed_grown.inf_lemmas().end());
+    EXPECT_TRUE(std::all_of(alone_grown.inf_lemmas().begin(),
+                            alone_grown.inf_lemmas().begin() +
+                                static_cast<std::ptrdiff_t>(kept),
+                            [&](const ts::Cube& c) {
+                              return fed_inf.count(c) > 0;
+                            }))
+        << tag;
+  }
+}
+
+// Two sizes: on the larger one the sweep does not see every reachable
+// literal, so which member seeds it matters.
+TEST_P(Ic3RandomTest, PreludeFedEnginesStartLikeStandaloneOnes) {
+  check_prelude_fed_engines(GetParam() + 50000, 6, 30);
+  check_prelude_fed_engines(GetParam() + 50000, 10, 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ic3RandomTest,

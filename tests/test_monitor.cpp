@@ -242,6 +242,43 @@ TEST(ProgressMonitor, ReportsRenderCellTotalsAndFoldFinalUnknowns) {
       << "final summary rendered twice: " << final_line;
 }
 
+TEST(ProgressMonitor, ReportsCountTheJointEngineCellAndListItFirst) {
+  // The joint loop's aggregate engine publishes frames and obligations on
+  // its run-level cell (property -1); its property cells only follow its
+  // activity. The totals must count the engine's work, and verbose mode
+  // must show the engine row first, labelled as the engine.
+  obs::ProgressBoard board;
+  obs::MonitorOptions mo;
+  std::ostringstream out;
+  mo.out = &out;
+  mo.verbose = true;
+  obs::ProgressMonitor monitor(&board, mo);
+
+  obs::TaskProgress* engine = board.register_task(/*property=*/-1);
+  std::vector<obs::TaskProgress*> props;
+  for (long long p = 0; p < 3; ++p) {
+    props.push_back(board.register_task(p, /*shard=*/-1, engine));
+    props.back()->set_state(obs::ProgressState::kRunning);
+  }
+  engine->set_state(obs::ProgressState::kRunning);
+  // The property cells read the engine's activity stamp, so the
+  // stalest-first order alone ties every row; the engine row must still
+  // come first.
+  engine->publish_engine(/*frames=*/6, /*obligations=*/42);
+
+  monitor.poll();
+  const std::string report = out.str();
+  EXPECT_NE(report.find("running=3 frames<=6 depth<=0 obls=42 stalls=0"),
+            std::string::npos)
+      << report;
+  const std::size_t first_row = report.find("progress:   ");
+  ASSERT_NE(first_row, std::string::npos) << report;
+  EXPECT_EQ(report.find("progress:   [s-1] engine running frames=6 obls=42"),
+            first_row)
+      << report;
+  EXPECT_EQ(report.find("sweep"), std::string::npos) << report;
+}
+
 // --- end-to-end: schedulers under the monitor ------------------------------
 
 gen::SyntheticSpec small_multi_cone() {

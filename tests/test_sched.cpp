@@ -452,5 +452,114 @@ TEST(TaskLifetime, ExhaustedRetryLadderFreesTheEngine) {
   expect_folded_once(metrics, task.result());
 }
 
+// --- the shared start-up prelude --------------------------------------------
+
+aig::Aig prelude_design(std::uint64_t seed) {
+  gen::RandomDesignSpec spec;
+  spec.seed = seed;
+  spec.num_latches = 5;
+  spec.num_inputs = 2;
+  spec.num_ands = 24;
+  spec.num_properties = 5;
+  return gen::make_random_design(spec);
+}
+
+SchedulerOptions prelude_opts(ProofMode mode) {
+  SchedulerOptions so;
+  so.proof_mode = mode;
+  so.dispatch = DispatchPolicy::RunToCompletion;
+  // Strict lifting: no spurious-CEX restart discards a prelude builder.
+  so.engine.lifting_respects_constraints = true;
+  return so;
+}
+
+TEST(Prelude, GlobalAndEtfTasksBuildPrivatePreludes) {
+  for (std::uint64_t seed = 900; seed < 910; ++seed) {
+    aig::Aig aig = prelude_design(seed);
+    aig.properties()[0].expected_to_fail = true;
+    aig.properties()[3].expected_to_fail = true;
+    ts::TransitionSystem ts(aig);
+    const std::string tag = "seed " + std::to_string(seed);
+
+    // Local proofs: the ETF targets' conjunctions are their own; the
+    // three ETH targets share one prelude, built once.
+    MultiResult local = Scheduler(ts, prelude_opts(ProofMode::Local)).run();
+    std::uint64_t builds = 0, reused = 0;
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      const ic3::Ic3Stats& st = local.per_property[p].engine_stats;
+      if (ts.expected_to_fail(p)) {
+        EXPECT_EQ(st.prelude_builds, 1u) << tag << " P" << p;
+        EXPECT_EQ(st.prelude_reused, 0u) << tag << " P" << p;
+      } else {
+        EXPECT_EQ(st.prelude_builds + st.prelude_reused, 1u)
+            << tag << " P" << p;
+        builds += st.prelude_builds;
+        reused += st.prelude_reused;
+      }
+    }
+    EXPECT_EQ(builds, 1u) << tag;
+    EXPECT_EQ(reused, 2u) << tag;
+
+    // Global proofs: every conjunction is the target alone.
+    MultiResult global = Scheduler(ts, prelude_opts(ProofMode::Global)).run();
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      const ic3::Ic3Stats& st = global.per_property[p].engine_stats;
+      EXPECT_EQ(st.prelude_builds, 1u) << tag << " P" << p;
+      EXPECT_EQ(st.prelude_reused, 0u) << tag << " P" << p;
+    }
+  }
+}
+
+TEST(Prelude, FaultDuringTheBuildRecoversThroughTheRetryLadder) {
+  // Find a design whose first task builds the shared prelude and asks
+  // consecution queries only there: an engine that starts from the
+  // prelude asks none. A one-shot ic3.consecution fault pinned to that
+  // task then fires inside the build.
+  for (std::uint64_t seed = 900; seed < 940; ++seed) {
+    aig::Aig aig = prelude_design(seed);
+    ts::TransitionSystem ts(aig);
+    const SchedulerOptions so = prelude_opts(ProofMode::Local);
+    const MultiResult clean = Scheduler(ts, so).run();
+    const std::size_t first = 0;
+    const ic3::Ic3Stats& st = clean.per_property[first].engine_stats;
+    if (st.prelude_builds != 1 || st.consecution_queries == 0) continue;
+    ic3::Ic3Options fed_opts;
+    fed_opts.assumed = local_assumptions(ts, first);
+    fed_opts.lifting_respects_constraints = true;
+    ic3::Ic3PreludeMemo memo(std::make_shared<const std::vector<ts::Cube>>());
+    fed_opts.prelude_memo = &memo;
+    ic3::Ic3(ts, first, fed_opts).run();  // builds the memo
+    if (ic3::Ic3(ts, first, fed_opts).run().stats.consecution_queries != 0) {
+      continue;
+    }
+
+    obs::MetricsRegistry metrics;
+    SchedulerOptions faulty_opts = so;
+    faulty_opts.engine.metrics = &metrics;
+    faulty_opts.engine.fault_plan =
+        "ic3.consecution@1:prop=" + std::to_string(first);
+    const MultiResult faulty = Scheduler(ts, faulty_opts).run();
+    const std::string tag = "seed " + std::to_string(seed);
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      EXPECT_EQ(faulty.per_property[p].verdict, clean.per_property[p].verdict)
+          << tag << " P" << p;
+    }
+    const PropertyResult& pr = faulty.per_property[first];
+    EXPECT_EQ(pr.retries, 1) << tag;
+    ASSERT_EQ(pr.failure_chain.size(), 1u) << tag;
+    // The fault left the memo empty, so the retried engine built it.
+    EXPECT_EQ(pr.engine_stats.prelude_builds, 1u) << tag;
+    const obs::MetricsSnapshot ms = metrics.snapshot();
+    EXPECT_EQ(ms.counter("retry.recovered"), 1u) << tag;
+    EXPECT_EQ(ms.counter("ic3.prelude_builds"),
+              clean.per_property.size() -
+                  ms.counter("ic3.prelude_reused"))
+        << tag;
+    return;
+  }
+  FAIL() << "no design whose first task asks consecution queries only in "
+            "the prelude build";
+}
+
 }  // namespace
 }  // namespace javer::mp::sched

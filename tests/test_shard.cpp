@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
+#include "aig/sim.h"
 #include "gen/counter.h"
 #include "gen/random_design.h"
 #include "gen/synthetic.h"
@@ -17,6 +19,9 @@
 #include "mp/sched/property_task.h"
 #include "mp/sched/scheduler.h"
 #include "mp/shard/sharded_scheduler.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
+#include "persist/persist.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
 #include "ts/trace.h"
@@ -637,6 +642,142 @@ TEST(Sharded, ExchangeOffKeepsEveryBusCounterZero) {
   EXPECT_EQ(xs.rejected, 0u);
   EXPECT_EQ(xs.redundant, 0u);
   EXPECT_EQ(xs.hit_rate(), 0.0);
+}
+
+// --- the shared start-up prelude --------------------------------------------
+
+gen::SyntheticSpec prelude_spec() {
+  gen::SyntheticSpec spec;
+  spec.seed = 41;
+  spec.rings = 2;
+  spec.ring_size = 5;
+  spec.ring_props = 6;
+  spec.ring_prop_stride = 2;
+  spec.pair_props = 4;
+  spec.unreachable_props = 4;
+  spec.unreachable_stride = 2;
+  spec.det_fail_props = 0;
+  return spec;
+}
+
+TEST(Prelude, ShardedRunGivesTheSameVerdictsAndPreludeCountersOnAnyThreadCount) {
+  gen::SyntheticSpec spec = prelude_spec();
+  spec.det_fail_props = 1;
+  aig::Aig aig = gen::make_synthetic(spec);
+  ts::TransitionSystem ts(aig);
+
+  struct Run {
+    MultiResult result;
+    std::uint64_t builds = 0;
+    std::uint64_t reused = 0;
+  };
+  auto run = [&](unsigned threads) {
+    ShardedOptions so = sharded_opts(exchange::ExchangeMode::Units);
+    so.clustering.max_cluster_size = 6;
+    so.base.engine.lifting_respects_constraints = true;
+    so.base.num_threads = threads;
+    obs::MetricsRegistry metrics;
+    so.base.engine.metrics = &metrics;
+    Run out;
+    out.result = ShardedScheduler(ts, so).run();
+    out.builds = metrics.snapshot().counter("ic3.prelude_builds");
+    out.reused = metrics.snapshot().counter("ic3.prelude_reused");
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  ASSERT_EQ(one.result.per_property.size(), four.result.per_property.size());
+  std::uint64_t engines = 0;
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    EXPECT_EQ(one.result.per_property[p].verdict,
+              four.result.per_property[p].verdict)
+        << "P" << p;
+    if (one.result.per_property[p].slices > 0) engines++;
+  }
+  expect_certifiable(ts, four.result, "four threads");
+  EXPECT_GT(one.reused, 0u);
+  EXPECT_EQ(one.builds + one.reused, engines);
+  EXPECT_EQ(four.builds, one.builds);
+  EXPECT_EQ(four.reused, one.reused);
+}
+
+TEST(Prelude, PlantedNonInductiveCubeIsDroppedOnceAndNeverReachesFinf) {
+  aig::Aig aig = gen::make_synthetic(prelude_spec());
+  ts::TransitionSystem ts(aig);
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "javer_prelude_plant")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  ShardedOptions so;
+  so.base.proof_mode = sched::ProofMode::Local;
+  so.base.dispatch = sched::DispatchPolicy::RunToCompletion;
+  so.base.engine.cache_dir = dir;
+  so.base.engine.lifting_respects_constraints = true;
+  so.clustering.max_cluster_size = 6;
+  so.exchange = exchange::ExchangeMode::Off;
+  const MultiResult cold = ShardedScheduler(ts, so).run();
+
+  // A reachable state one step from reset, on a path that keeps every
+  // constraint and property: a latch that left its reset value there
+  // gives a cube {l} that excludes the initial states, yet its clause
+  // holds in no F_inf of any task.
+  aig::Simulator sim(ts.aig());
+  const std::vector<bool> init = ts.initial_state();
+  sim.eval(init, std::vector<bool>(ts.num_inputs(), false));
+  for (aig::Lit c : ts.design_constraints()) ASSERT_TRUE(sim.value(c));
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    ASSERT_TRUE(sim.value(ts.property_lit(p))) << "P" << p;
+  }
+  const std::vector<bool> next = sim.next_state();
+  ts::Cube planted;
+  for (std::size_t i = 0; i < next.size() && planted.empty(); ++i) {
+    if (ts.aig().latches()[i].reset != Ternary::X && next[i] != init[i]) {
+      planted.push_back(ts::StateLit{static_cast<int>(i), next[i]});
+    }
+  }
+  ASSERT_FALSE(planted.empty());
+
+  // Plant it in every shard's stored database.
+  const auto clusters = cluster_properties(ts, so.clustering);
+  persist::PersistCache cache(dir);
+  const std::uint64_t fp = aig::fingerprint(ts.aig());
+  std::uint64_t expected_validations = 0;
+  for (const std::vector<std::size_t>& cluster : clusters) {
+    const std::uint64_t key = persist::index_set_signature(cluster);
+    std::optional<std::vector<ts::Cube>> cubes =
+        cache.load_clause_db(ts, fp, key);
+    ASSERT_TRUE(cubes.has_value());
+    ASSERT_TRUE(std::find(cubes->begin(), cubes->end(), planted) ==
+                cubes->end());
+    // One fixpoint round over every cube, one more over the survivors.
+    expected_validations += 2 * cubes->size() + 1;
+    cubes->push_back(planted);
+    cache.store_clause_db(fp, key, *cubes);
+  }
+
+  obs::MetricsRegistry metrics;
+  obs::PhaseProfiler profiler;
+  so.base.engine.metrics = &metrics;
+  so.base.engine.profiler = &profiler;
+  const MultiResult warm = ShardedScheduler(ts, so).run();
+  std::uint64_t engines = 0;
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    const PropertyResult& pr = warm.per_property[p];
+    EXPECT_EQ(pr.verdict, cold.per_property[p].verdict) << "P" << p;
+    EXPECT_EQ(pr.verdict, PropertyVerdict::HoldsLocally) << "P" << p;
+    EXPECT_TRUE(std::find(pr.invariant.begin(), pr.invariant.end(),
+                          planted) == pr.invariant.end())
+        << "P" << p;
+    if (pr.slices > 0) engines++;
+  }
+  expect_certifiable(ts, warm, "warm");
+  const obs::MetricsSnapshot ms = metrics.snapshot();
+  // Every task was offered the planted cube and kept none of it, but only
+  // each shard's prelude asked about it.
+  EXPECT_EQ(ms.counter("ic3.seed_clauses_dropped"), engines);
+  EXPECT_EQ(ms.counter("ic3.prelude_builds"), clusters.size());
+  EXPECT_EQ(profiler.phase_count("ic3/seed_validate"), expected_validations);
 }
 
 }  // namespace
