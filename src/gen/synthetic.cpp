@@ -178,6 +178,18 @@ aig::Aig make_ring(std::size_t size) {
   return make_synthetic(spec);
 }
 
+aig::Aig single_component(const aig::Aig& aig) {
+  aig::Aig copy = aig;
+  const aig::Lit tie = copy.add_latch(Ternary::False, "tie");
+  copy.set_latch_next(tie, tie);
+  aig::Builder b(copy);
+  for (aig::Property& p : copy.properties()) {
+    // P ∨ tie folds to true when P is; ¬tie holds on every path too.
+    p.lit = p.lit == aig::Lit::true_lit() ? ~tie : b.lor(p.lit, tie);
+  }
+  return copy;
+}
+
 std::vector<int> synthetic_expected_classes(const aig::Aig& aig) {
   std::vector<int> classes;
   classes.reserve(aig.num_properties());

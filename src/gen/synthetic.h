@@ -86,6 +86,14 @@ aig::Aig make_synthetic(const SyntheticSpec& spec);
 // properties — the Table X / parallel-study design.
 aig::Aig make_ring(std::size_t size);
 
+// A copy of `aig` as one component: every property P becomes P ∨ tie
+// (a constant-true P becomes ¬tie) for a latch `tie` (the last latch)
+// that resets to 0 and never changes.
+// Every property's cone then shares `tie`, so every JA target's closure
+// holds every other property's cone and its task assumes every other ETH
+// property, as the paper's JA does. Verdicts are unchanged.
+aig::Aig single_component(const aig::Aig& aig);
+
 // Expected verdicts for a generated design, for tests and bench sanity:
 // per property: 0 = true (holds globally), 1 = fails locally (debugging
 // set), 2 = fails globally but holds locally (masked).

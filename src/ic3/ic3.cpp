@@ -646,6 +646,7 @@ std::vector<ts::Cube> Ic3::build_prelude(const std::vector<ts::Cube>& seeds,
     inf_cubes_ = base->inf_cubes;
     unit_stamps_ = base->unit_stamps;
   }
+  inf_seed_prefix_ = base != nullptr ? base->seeds_kept : candidates.size();
   for (const ts::Cube& c : candidates) {
     // A kept seed base mined is in F_inf already.
     if (base != nullptr && c.size() == 1 && unit_held(c[0])) continue;
@@ -666,6 +667,7 @@ std::vector<ts::Cube> Ic3::build_prelude(const std::vector<ts::Cube>& seeds,
 void Ic3::adopt_prelude(const Ic3Prelude& prelude) {
   inf_cubes_ = prelude.inf_cubes;
   unit_stamps_ = prelude.unit_stamps;
+  inf_seed_prefix_ = prelude.seeds_kept;
   finish_start_up(prelude.seeds_kept);
 }
 
@@ -1066,6 +1068,7 @@ Ic3Result Ic3::run(const Ic3Budget& budget) {
         result.status = CheckStatus::Holds;
         result.frames = std::max(result.frames, fixpoint_level_);
         result.invariant = inf_cubes_;
+        result.invariant_seeds = inf_seed_prefix_;
         for (int j = fixpoint_level_ + 1;
              j < static_cast<int>(frame_cubes_.size()); ++j) {
           for (const ts::Cube& c : frame_cubes_[j]) {

@@ -237,6 +237,9 @@ struct Ic3Result {
   // strengthening: I → Inv, Inv ∧ constr ∧ assumed ∧ T → Inv',
   // Inv ∧ constr → P.
   std::vector<ts::Cube> invariant;
+  // On Holds: how many leading invariant cubes are kept seed clauses
+  // (members of Ic3Options::seed_clauses, which the caller already has).
+  std::size_t invariant_seeds = 0;
   // Cumulative over the whole engine lifetime, not just the last slice.
   Ic3Stats stats;
 };
@@ -504,6 +507,8 @@ class Ic3 {
   std::unique_ptr<MonolithicFrameSolver> mono_;
   std::vector<std::vector<ts::Cube>> frame_cubes_;  // delta encoding
   std::vector<ts::Cube> inf_cubes_;  // F_inf: seeds + globally inductive
+  // The leading inf_cubes_ that are kept seeds (set at start-up).
+  std::size_t inf_seed_prefix_ = 0;
   std::vector<ts::Cube> lemma_queue_;   // candidates pending re-validation
   // What is known about the F_inf consecution query of each singleton
   // cube {l}, indexed by 2·latch + value (installed from the prelude):

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ts/cone_view.h"
+
 namespace javer::mp {
 
 namespace {
@@ -12,11 +14,9 @@ std::vector<std::vector<bool>> property_cones(
   std::vector<std::vector<bool>> cones;
   cones.reserve(ts.num_properties());
   for (std::size_t p = 0; p < ts.num_properties(); ++p) {
-    auto node_cone = ts.aig().cone_of_influence({ts.property_lit(p)},
-                                                /*through_latches=*/true);
     std::vector<bool> latch_cone(ts.num_latches(), false);
-    for (std::size_t i = 0; i < ts.num_latches(); ++i) {
-      latch_cone[i] = node_cone[ts.aig().latches()[i].var];
+    for (int l : ts::cone_latches(ts.aig(), {ts.property_lit(p)})) {
+      latch_cone[l] = true;
     }
     cones.push_back(std::move(latch_cone));
   }

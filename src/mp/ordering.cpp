@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/rng.h"
+#include "ts/cone_view.h"
 
 namespace javer::mp {
 
@@ -14,13 +15,7 @@ std::vector<std::size_t> design_order(const ts::TransitionSystem& ts) {
 
 std::size_t property_cone_latches(const ts::TransitionSystem& ts,
                                   std::size_t prop) {
-  auto cone = ts.aig().cone_of_influence({ts.property_lit(prop)},
-                                         /*through_latches=*/true);
-  std::size_t count = 0;
-  for (const aig::Latch& l : ts.aig().latches()) {
-    if (cone[l.var]) count++;
-  }
-  return count;
+  return ts::cone_latches(ts.aig(), {ts.property_lit(prop)}).size();
 }
 
 std::vector<std::size_t> order_by_cone_size(const ts::TransitionSystem& ts) {

@@ -28,6 +28,21 @@ void BmcSweep::add_near_miss_seeds(std::vector<simfilter::NearMissSeed> seeds) {
   for (simfilter::NearMissSeed& s : seeds) seeds_.push_back(std::move(s));
 }
 
+void BmcSweep::fold_sat_stats(const sat::SolverStats& before,
+                              const sat::SolverStats& after) {
+  const std::uint64_t propagations = after.propagations - before.propagations;
+  const std::uint64_t conflicts = after.conflicts - before.conflicts;
+  const std::uint64_t decisions = after.decisions - before.decisions;
+  sat_stats_.propagations += propagations;
+  sat_stats_.conflicts += conflicts;
+  sat_stats_.decisions += decisions;
+  if (obs::MetricsRegistry* m = opts_.engine.metrics) {
+    m->add("bmc.sat_propagations", propagations);
+    m->add("bmc.sat_conflicts", conflicts);
+    m->add("bmc.sat_decisions", decisions);
+  }
+}
+
 void BmcSweep::ensure_progress() {
   if (progress_ != nullptr || opts_.engine.progress == nullptr) return;
   progress_ = opts_.engine.progress->register_task(/*property=*/-1,
@@ -60,6 +75,7 @@ std::size_t BmcSweep::process_seeds(std::vector<PropertyTask*>& by_prop) {
     bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_,
                                   static_cast<long long>(seed.prop));
     bmc::BmcResult br = seed_bmc.run({seed.prop}, bo);
+    fold_sat_stats({}, seed_bmc.solver_stats());
     bool hit = false;
     if (br.status == CheckStatus::Fails) {
       // Stitch: the prefix up to (not including) the seed state, then the
@@ -148,6 +164,7 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
   bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_);
 
   std::size_t closed = 0;
+  const sat::SolverStats stats_before = bmc_.solver_stats();
   while (!targets.empty()) {
     bo.time_limit_seconds = budget > 0 ? sweep_deadline.remaining() : 0.0;
     if (budget > 0 && bo.time_limit_seconds <= 0) break;
@@ -176,6 +193,7 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
                        << " target(s) at depth " << br.depth;
   }
 
+  fold_sat_stats(stats_before, bmc_.solver_stats());
   if (closed > 0) {
     empty_streak_ = 0;
   } else if (depth_done_ > window_end) {

@@ -69,10 +69,19 @@ class BmcSweep {
   std::uint64_t seed_hits() const { return seed_hits_; }
   std::uint64_t seed_discarded() const { return seed_discarded_; }
 
+  // SAT work summed over every context the sweep ran: the shared
+  // unrolling and each near-miss seed window. The same totals reach
+  // EngineOptions::metrics as bmc.sat_propagations / bmc.sat_conflicts /
+  // bmc.sat_decisions, folded after each sweep.
+  const sat::SolverStats& sat_stats() const { return sat_stats_; }
+
  private:
   // Runs the queued seeds against the open tasks in `by_prop` (indexed by
   // property; closed entries nulled). Returns how many tasks it closed.
   std::size_t process_seeds(std::vector<PropertyTask*>& by_prop);
+  // Adds `after - before` to sat_stats_ and the bmc.sat_* metrics.
+  void fold_sat_stats(const sat::SolverStats& before,
+                      const sat::SolverStats& after);
   // Registers the sweep's progress cell (property -1) lazily — at the
   // first sweep(), so a sweep that never runs leaves no Running cell.
   void ensure_progress();
@@ -84,6 +93,7 @@ class BmcSweep {
   std::vector<simfilter::NearMissSeed> seeds_;  // pending, next sweep()
   std::uint64_t seed_hits_ = 0;
   std::uint64_t seed_discarded_ = 0;
+  sat::SolverStats sat_stats_;
   int depth_done_ = 0;    // completed bounds of the shared unrolling
   int empty_streak_ = 0;  // consecutive sweeps without a counterexample
   bool exhausted_ = false;

@@ -115,6 +115,8 @@ PropertyTask::PropertyTask(const ts::TransitionSystem& ts, std::size_t prop,
     : ts_(ts),
       prop_(prop),
       assumed_(std::move(assumed)),
+      engine_assumed_(assumed_),
+      cone_latches_(ts.num_latches()),
       engine_opts_(engine),
       local_mode_(local_mode),
       strict_lifting_(engine.lifting_respects_constraints),
@@ -135,7 +137,7 @@ void PropertyTask::ensure_engine(ClauseDb* db) {
   if (engine_) return;
   ic3::Ic3Options opts = make_ic3_options(engine_opts_, obs_shard_,
                                           static_cast<long long>(prop_));
-  opts.assumed = assumed_;
+  opts.assumed = engine_assumed_;
   opts.lifting_respects_constraints = strict_lifting_;
   opts.template_cache = templates_;
   opts.prelude_memo = prelude_memo_;
@@ -149,20 +151,25 @@ void PropertyTask::ensure_engine(ClauseDb* db) {
   // The rung-4 ("isolated") retry config keeps the snapshot around but
   // stops feeding it: a poisoned seed set must not follow the task up
   // the ladder.
-  if (seeds_ && engine_opts_.clause_reuse) opts.seed_clauses = *seeds_;
-  engine_ = std::make_unique<ic3::Ic3>(ts_, prop_, std::move(opts));
+  if (seeds_ && engine_opts_.clause_reuse) {
+    opts.seed_clauses = view_ != nullptr ? view_->project(*seeds_) : *seeds_;
+  }
+  engine_ = std::make_unique<ic3::Ic3>(engine_ts(), engine_target(),
+                                       std::move(opts));
 }
 
 void PropertyTask::close_holds(std::vector<ts::Cube> invariant,
-                               ClauseDb* db) {
+                               std::size_t seeds, ClauseDb* db) {
   state_ = TaskState::Holds;
   slice_scale_ = 1.0;
   result_.verdict = local_mode_ ? PropertyVerdict::HoldsLocally
                                 : PropertyVerdict::HoldsGlobally;
   result_.invariant = std::move(invariant);
   if (db != nullptr && engine_opts_.clause_reuse &&
-      !result_.invariant.empty()) {
-    db->add(result_.invariant);
+      result_.invariant.size() > seeds) {
+    db->add(std::vector<ts::Cube>(
+        result_.invariant.begin() + static_cast<std::ptrdiff_t>(seeds),
+        result_.invariant.end()));
   }
   release_engine();
   fold_final_metrics();
@@ -185,12 +192,28 @@ void PropertyTask::release_engine() {
   seeds_.reset();
 }
 
+void PropertyTask::discard_engine() {
+  engine_.reset();
+  engine_seconds_ = 0.0;
+  reported_imported_ = reported_rejected_ = reported_known_ = 0;
+  last_frames_ = 0;
+  last_clauses_ = last_obligations_ = 0;
+  slice_scale_ = 1.0;
+  result_.slice_scale = slice_scale_;
+  bus_cursor_ = {};
+}
+
 void PropertyTask::fold_final_metrics() {
   if (metrics_folded_) return;
   metrics_folded_ = true;
   if (engine_opts_.metrics == nullptr) return;
   ic3::fold_stats(*engine_opts_.metrics, result_.engine_stats);
   engine_opts_.metrics->add("task.closed");
+  engine_opts_.metrics->add("task.cone_latches", cone_latches_);
+  if (cone_latches_ < ts_.num_latches()) {
+    engine_opts_.metrics->add("task.restricted");
+  }
+  if (cone_fallback_) engine_opts_.metrics->add("task.cone_fallbacks");
   engine_opts_.metrics->add(
       "task.spurious_restarts",
       static_cast<std::uint64_t>(result_.spurious_restarts));
@@ -217,6 +240,17 @@ void PropertyTask::attach_templates(cnf::TemplateCache* templates) {
 
 void PropertyTask::attach_prelude(ic3::Ic3PreludeMemo* memo) {
   prelude_memo_ = memo;
+}
+
+void PropertyTask::attach_view(const ts::ConeView* view) {
+  view_ = view;
+  cone_latches_ = view != nullptr ? view->num_latches() : ts_.num_latches();
+  engine_assumed_.clear();
+  for (std::size_t j : assumed_) {
+    const int v = view != nullptr ? view->view_property(j)
+                                  : static_cast<int>(j);
+    if (v >= 0) engine_assumed_.push_back(static_cast<std::size_t>(v));
+  }
 }
 
 void PropertyTask::resolve_fails(ts::Trace cex, int frames) {
@@ -267,16 +301,8 @@ void PropertyTask::fail_slice(const std::string& reason) {
   }
 
   // Discard everything the failed engine touched — same full reset as the
-  // §7-A strict-lifting retry, cursor included (queued lemmas must reach
-  // the fresh engine).
-  engine_.reset();
-  engine_seconds_ = 0.0;
-  reported_imported_ = reported_rejected_ = reported_known_ = 0;
-  last_frames_ = 0;
-  last_clauses_ = last_obligations_ = 0;
-  slice_scale_ = 1.0;
-  result_.slice_scale = slice_scale_;
-  bus_cursor_ = {};
+  // §7-A strict-lifting retry.
+  discard_engine();
 
   if (result_.retries >= engine_opts_.max_task_retries) {
     JAVER_LOG(Info) << "sched: P" << prop_
@@ -357,6 +383,7 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   // slice start.
   if (bus_ != nullptr && bus_->enabled()) {
     std::vector<ts::Cube> cubes = bus_->poll(shard_, bus_cursor_);
+    if (view_ != nullptr) cubes = view_->project(cubes);
     if (!cubes.empty()) engine_->add_lemma_candidates(std::move(cubes));
   }
 
@@ -427,62 +454,75 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
 
   const char* outcome = nullptr;
   switch (er.status) {
-    case CheckStatus::Holds:
+    case CheckStatus::Holds: {
+      // A restricted engine's invariant is one of the full design too
+      // (ts/cone_view.h); it leaves the task in full-design indices.
+      std::vector<ts::Cube> invariant =
+          view_ != nullptr ? view_->lift(er.invariant)
+                           : std::move(er.invariant);
       // A proof from a post-retry engine only counts once an independent
       // certifier accepts it: a failing check is one more task failure
       // (the wrapper catches the throw), never a wrong verdict.
       if (result_.retries > 0) {
-        ic3::CertificateCheck check = ic3::certify_strengthening(
-            ts_, prop_, assumed_, er.invariant);
+        ic3::CertificateCheck check =
+            ic3::certify_strengthening(ts_, prop_, assumed_, invariant);
         if (!check.ok()) {
           throw std::runtime_error("post-retry certification failed: " +
                                    check.failure);
         }
       }
-      close_holds(std::move(er.invariant), db);
+      close_holds(std::move(invariant), er.invariant_seeds, db);
       outcome = "holds";
       break;
-    case CheckStatus::Fails:
-      if (local_mode_ && !strict_lifting_ && !assumed_.empty() &&
-          !ts::is_local_cex(ts_, er.cex, prop_, assumed_)) {
+    }
+    case CheckStatus::Fails: {
+      if (local_mode_ && !strict_lifting_ && !engine_assumed_.empty() &&
+          !ts::is_local_cex(engine_ts(), er.cex, engine_target(),
+                            engine_assumed_)) {
         // §7-A: relaxed lifting produced a spurious local CEX. Restart
         // with strict lifting and a fresh per-property budget, like the
         // one-shot path.
         JAVER_LOG(Verbose) << "sched: spurious local cex for P" << prop_
                            << "; strict-lifting retry";
         strict_lifting_ = true;
-        engine_.reset();
-        engine_seconds_ = 0.0;
-        reported_imported_ = reported_rejected_ = reported_known_ = 0;
-        // The fresh engine starts from scratch: its counters restart at
-        // zero (so do the slice baselines) and it earns its own slice
-        // scale rather than inheriting one sized for the old engine.
-        last_frames_ = 0;
-        last_clauses_ = last_obligations_ = 0;
-        slice_scale_ = 1.0;
-        result_.slice_scale = slice_scale_;
-        // Rewind the channel too: lemmas the discarded engine consumed
-        // (or still had queued) must reach the fresh strict engine.
-        bus_cursor_ = {};
+        discard_engine();
         result_.spurious_restarts++;
         sink.instant("task", "spurious_restart", slice_index);
         outcome = "spurious_restart";  // still open; next slice is strict
         break;
       }
-      // Same oracle discipline for counterexamples from a post-retry
-      // engine: the witness checker must accept the trace.
-      if (result_.retries > 0) {
-        bool cex_ok = local_mode_
-                          ? ts::is_local_cex(ts_, er.cex, prop_, assumed_)
-                          : ts::is_global_cex(ts_, er.cex, prop_);
+      ts::Trace cex =
+          view_ != nullptr ? view_->lift(er.cex) : std::move(er.cex);
+      // The witness checker decides every restricted counterexample (a
+      // dropped assumption or constraint may be false on the lifted
+      // trace) and, with the same oracle discipline, every one from a
+      // post-retry engine.
+      if (view_ != nullptr || result_.retries > 0) {
+        const bool cex_ok = local_mode_
+                                ? ts::is_local_cex(ts_, cex, prop_, assumed_)
+                                : ts::is_global_cex(ts_, cex, prop_);
+        if (!cex_ok && view_ != nullptr) {
+          JAVER_LOG(Verbose) << "sched: restricted cex for P" << prop_
+                             << " fails on the full design; restarting "
+                                "on the full design";
+          view_ = nullptr;
+          engine_assumed_ = assumed_;
+          cone_fallback_ = true;
+          prelude_memo_ = nullptr;  // the view's conjunction, not ours
+          discard_engine();
+          sink.instant("task", "cone_fallback", slice_index);
+          outcome = "cone_fallback";  // still open; next slice is full
+          break;
+        }
         if (!cex_ok) {
           throw std::runtime_error(
               "post-retry counterexample failed the witness oracle");
         }
       }
-      finish_fails(std::move(er.cex));
+      finish_fails(std::move(cex));
       outcome = "fails";
       break;
+    }
     default:
       if (!er.resumable ||
           (per_prop > 0 && engine_seconds_ >= per_prop)) {

@@ -12,7 +12,14 @@
 // round-robin them over many open properties instead of burning a full
 // one-shot timeout on the first hard one. The §7-A spurious-counterexample
 // strict-lifting retry lives here too: a spurious local CEX discards the
-// engine and restarts with lifting that respects the constraints. Every
+// engine and restarts with lifting that respects the constraints.
+//
+// An engine may run on a cone-restricted view of the design (the target's
+// closure, ts/cone_view.h). The task keeps the full design's indices on
+// every boundary: seeds and bus units are projected into the view, an
+// invariant is lifted back before it is published, and a counterexample
+// is lifted and must pass the full design's witness check, or the task
+// restarts once on the full design. Every
 // close path frees the engine (its SAT contexts) and the seed snapshot;
 // the result row keeps the final engine's stats.
 //
@@ -37,6 +44,7 @@
 #include "mp/exchange/lemma_bus.h"
 #include "mp/report.h"
 #include "mp/sched/engine_options.h"
+#include "ts/cone_view.h"
 #include "ts/transition_system.h"
 
 namespace javer::obs {
@@ -129,7 +137,9 @@ class PropertyTask {
   bool open() const {
     return state_ == TaskState::Pending || state_ == TaskState::Running;
   }
+  // The full design's assumption set (verdict and witness semantics).
   const std::vector<std::size_t>& assumed() const { return assumed_; }
+  const ts::ConeView* view() const { return view_; }
   // True while the task holds an IC3 engine: from the first slice until
   // it closes (or a retry discards the engine).
   bool has_engine() const { return engine_ != nullptr; }
@@ -153,6 +163,15 @@ class PropertyTask {
   // rest start from it. The memo must outlive the task; the isolated
   // retry rung detaches it. Call before the first slice.
   void attach_prelude(ic3::Ic3PreludeMemo* memo);
+
+  // Runs this task's engines on `view`, the sub-design of the target's
+  // closure (null = the full design). The assumed properties outside the
+  // closure are dropped from the engine's path conjunction; the prelude
+  // memo, if any, must be the view's. A restricted counterexample that
+  // fails the full design's witness check detaches the view and restarts
+  // the task on the full design (task/cone_fallback). The view must
+  // outlive the task. Call before the first slice.
+  void attach_view(const ts::ConeView* view);
 
   // Runs one engine slice (respecting the per-property time budget). When
   // `db` is non-null and clause re-use is on, the engine is seeded from it
@@ -190,10 +209,28 @@ class PropertyTask {
   void ensure_engine(ClauseDb* db);
   // Publishes state (and touches activity) on the progress cell, if any.
   void publish_state();
-  void close_holds(std::vector<ts::Cube> invariant, ClauseDb* db);
+  // Closes Holds with `invariant` in full-design indices; publishes to
+  // `db` every cube past the leading `seeds` (re-validated seed clauses,
+  // which the database holds already).
+  void close_holds(std::vector<ts::Cube> invariant, std::size_t seeds,
+                   ClauseDb* db);
   void finish_fails(ts::Trace cex);
   // Frees the engine and the seed snapshot; every close path calls it.
   void release_engine();
+  // Drops the engine for a restart (retry ladder, strict lifting, full-
+  // design fallback): the next slice builds a fresh one, with a fresh
+  // per-property budget, slice scale and progress baselines, and the
+  // lemma channel rewound so queued units reach it.
+  void discard_engine();
+  // The design the engine runs on, and the target's index in it.
+  const ts::TransitionSystem& engine_ts() const {
+    return view_ != nullptr ? view_->ts() : ts_;
+  }
+  std::size_t engine_target() const {
+    return view_ != nullptr
+               ? static_cast<std::size_t>(view_->view_property(prop_))
+               : prop_;
+  }
   // Folds the final engine's Ic3Stats into EngineOptions::metrics, once
   // per task lifetime. Every close path funnels through this, which is
   // what makes the registry totals reconcile exactly with the summed
@@ -205,6 +242,15 @@ class PropertyTask {
   const ts::TransitionSystem& ts_;
   std::size_t prop_;
   std::vector<std::size_t> assumed_;
+  // The cone-restricted view (null = full design) and the assumed set in
+  // its property indices (assumed_ itself without a view).
+  const ts::ConeView* view_ = nullptr;
+  std::vector<std::size_t> engine_assumed_;
+  // Closure size (task.cone_latches; smaller than the design = the task
+  // started on a proper sub-design) and whether it fell back to the full
+  // design.
+  std::size_t cone_latches_;
+  bool cone_fallback_ = false;
   EngineOptions engine_opts_;
   bool local_mode_;
   bool strict_lifting_ = false;  // set after a spurious-CEX retry

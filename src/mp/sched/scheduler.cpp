@@ -20,6 +20,7 @@
 #include "obs/monitor.h"
 #include "obs/trace.h"
 #include "persist/persist.h"
+#include "ts/cone_view.h"
 
 namespace javer::mp::sched {
 
@@ -273,10 +274,30 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
   bus.set_trace(sink);
   ShardedClauseDb dbs(clusters.size());
   if (engine.clause_reuse) dbs.seed_all(db.snapshot());
+  // Cone-restricted task engines (ts/cone_view.h): every target runs on
+  // its closure, the latches its cone shares transitively with the cones
+  // of the properties it assumes and of the design constraints. One view
+  // per distinct closure smaller than the design, built on first use and
+  // shared by every task with that closure; a closure holding every
+  // latch runs on the design itself. Declared before the template memo
+  // and the tasks, which point into the views.
+  std::vector<bool> assumable(ts_.num_properties(), false);
+  for (std::size_t j = 0; local && j < assumable.size(); ++j) {
+    assumable[j] = !ts_.expected_to_fail(j);  // local_assumptions' rule
+  }
+  const ts::ClosureIndex closures(ts_, assumable);
+  std::map<std::vector<int>, std::unique_ptr<ts::ConeView>> views;
+  auto view_for = [&](std::size_t p) -> const ts::ConeView* {
+    std::vector<int> closure = closures.closure(p);
+    if (closure.size() == ts_.num_latches()) return nullptr;
+    std::unique_ptr<ts::ConeView>& view = views[closure];
+    if (!view) view = std::make_unique<ts::ConeView>(ts_, closures, closure);
+    return view.get();
+  };
   // One template memo for the whole run, shared by every shard's tasks:
   // templates are keyed by (design fingerprint, {target} ∪ assumed) —
   // which in local mode is the same property set for every non-ETF target
-  // design-wide, regardless of shard — so sibling tasks stop re-encoding
+  // of a closure, regardless of shard — so sibling tasks stop re-encoding
   // the transition relation. Thread-safe; the pool hits it concurrently.
   cnf::TemplateCache templates(ts_);
 
@@ -334,30 +355,38 @@ void Scheduler::run_tasks(ClauseDb& db, const Timer& total,
                                                  engine, local, s.tag);
       if (bus.enabled()) task->attach_exchange(&bus, i);
       task->attach_templates(&templates);
+      task->attach_view(view_for(p));
       s.tasks.push_back(std::move(task));
       shard_of[p] = static_cast<int>(i);
     }
     if (hybrid) s.sweep = std::make_unique<BmcSweep>(ts_, opts_, s.tag);
 
-    // One start-up prelude per path conjunction that two or more of the
-    // shard's tasks share (under local proofs, every non-ETF target's),
-    // over the seeds the shard's database holds before dispatch. ETF
-    // targets and global proofs have conjunctions of their own, so their
-    // engines build private preludes.
-    std::map<std::vector<std::size_t>, std::vector<PropertyTask*>> by_path;
+    // One start-up prelude per view and path conjunction that two or
+    // more of the shard's tasks share (under local proofs, every non-ETF
+    // target of a closure: the view restricts their common conjunction
+    // alike), over the seeds the shard's database holds before dispatch,
+    // projected into the view. ETF targets and global proofs have
+    // conjunctions of their own, so their engines build private preludes.
+    std::map<std::pair<const ts::ConeView*, std::vector<std::size_t>>,
+             std::vector<PropertyTask*>>
+        by_path;
     for (auto& t : s.tasks) {
       std::vector<std::size_t> path = t->assumed();
       path.push_back(t->prop());
       std::sort(path.begin(), path.end());
-      by_path[std::move(path)].push_back(t.get());
+      by_path[{t->view(), std::move(path)}].push_back(t.get());
     }
     const auto start_seeds =
         engine.clause_reuse
             ? dbs.shard(i).shared_snapshot()
             : std::make_shared<const std::vector<ts::Cube>>();
-    for (const auto& [path, group] : by_path) {
+    for (const auto& [key, group] : by_path) {
       if (group.size() < 2) continue;
-      s.preludes.push_back(std::make_unique<ic3::Ic3PreludeMemo>(start_seeds));
+      const ts::ConeView* view = key.first;
+      s.preludes.push_back(std::make_unique<ic3::Ic3PreludeMemo>(
+          view != nullptr ? std::make_shared<const std::vector<ts::Cube>>(
+                                view->project(*start_seeds))
+                          : start_seeds));
       for (PropertyTask* t : group) t->attach_prelude(s.preludes.back().get());
     }
   }

@@ -6,17 +6,21 @@
 // every close path frees the engine and keeps the result row intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fault/fault.h"
 #include "gen/counter.h"
 #include "gen/random_design.h"
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
+#include "mp/sched/bmc_sweep.h"
 #include "mp/sched/property_task.h"
 #include "mp/sched/scheduler.h"
 #include "mp/shard/sharded_scheduler.h"
 #include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
+#include "ts/cone_view.h"
 #include "ts/trace.h"
 
 namespace javer::mp::sched {
@@ -167,6 +171,63 @@ TEST(Scheduler, HybridOnSyntheticFailingDesign) {
         << "P" << p;
   }
   EXPECT_EQ(hybrid.debugging_set(), reference.debugging_set());
+}
+
+TEST(BmcSweepStats, SatWorkOfEveryContextReconcilesWithTheRegistry) {
+  gen::SyntheticSpec spec;
+  spec.seed = 91;
+  spec.wrap_counter_bits = 6;
+  spec.rings = 1;
+  spec.ring_size = 5;
+  spec.ring_props = 5;
+  spec.pair_props = 2;
+  spec.det_fail_props = 1;
+  spec.input_fail_props = 2;
+  aig::Aig aig = gen::make_synthetic(spec);
+  ts::TransitionSystem ts(aig);
+  obs::MetricsRegistry metrics;
+  SchedulerOptions so = hybrid_opts();
+  so.engine.metrics = &metrics;
+  so.engine.sim_filter.seed_window = 4;
+
+  // Two sweeps over halves of the properties, one of them also running a
+  // near-miss seed window from the initial state for every property.
+  std::vector<std::unique_ptr<PropertyTask>> tasks;
+  std::vector<PropertyTask*> halves[2];
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    tasks.push_back(std::make_unique<PropertyTask>(
+        ts, p, local_assumptions(ts, p), so.engine, /*local_mode=*/true));
+    halves[p % 2].push_back(tasks.back().get());
+  }
+  BmcSweep a(ts, so, 0), b(ts, so, 1);
+  std::vector<simfilter::NearMissSeed> seeds;
+  for (std::size_t p = 0; p < ts.num_properties(); p += 2) {
+    simfilter::NearMissSeed seed;
+    seed.prop = p;
+    seed.prefix.steps.push_back(
+        ts::Step{ts.initial_state(), std::vector<bool>(ts.num_inputs())});
+    seeds.push_back(std::move(seed));
+  }
+  a.add_near_miss_seeds(std::move(seeds));
+  for (int round = 0; round < 8 && !(a.exhausted() && b.exhausted());
+       ++round) {
+    a.sweep(halves[0], 0.0);
+    b.sweep(halves[1], 0.0);
+  }
+
+  const obs::MetricsSnapshot ms = metrics.snapshot();
+  const sat::SolverStats& sa = a.sat_stats();
+  const sat::SolverStats& sb = b.sat_stats();
+  EXPECT_GT(sa.propagations, 0u);
+  EXPECT_GT(sb.propagations, 0u);
+  EXPECT_GT(sa.decisions + sb.decisions, 0u);
+  EXPECT_EQ(ms.counter("bmc.sat_propagations"),
+            sa.propagations + sb.propagations);
+  EXPECT_EQ(ms.counter("bmc.sat_conflicts"), sa.conflicts + sb.conflicts);
+  EXPECT_EQ(ms.counter("bmc.sat_decisions"), sa.decisions + sb.decisions);
+  // BMC work stays out of the IC3 engines' sat.* counters.
+  EXPECT_EQ(ms.counter("sat.propagations"), 0u);
+  for (auto& t : tasks) t->close_unknown();
 }
 
 TEST(Scheduler, RespectsTotalTimeLimit) {
@@ -475,11 +536,29 @@ SchedulerOptions prelude_opts(ProofMode mode) {
 
 TEST(Prelude, GlobalAndEtfTasksBuildPrivatePreludes) {
   for (std::uint64_t seed = 900; seed < 910; ++seed) {
-    aig::Aig aig = prelude_design(seed);
+    // One component: every property reads the `tie` latch, so the three
+    // ETH targets have one closure and share one conjunction.
+    aig::Aig aig = gen::single_component(prelude_design(seed));
     aig.properties()[0].expected_to_fail = true;
     aig.properties()[3].expected_to_fail = true;
     ts::TransitionSystem ts(aig);
     const std::string tag = "seed " + std::to_string(seed);
+    std::vector<bool> assumable(ts.num_properties());
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      assumable[p] = !ts.expected_to_fail(p);
+    }
+    const ts::ClosureIndex closures(ts, assumable);
+    const int tie = static_cast<int>(ts.num_latches()) - 1;
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      const std::vector<int> cone =
+          ts::cone_latches(ts.aig(), {ts.property_lit(p)});
+      ASSERT_TRUE(std::binary_search(cone.begin(), cone.end(), tie))
+          << tag << " P" << p;
+      if (assumable[p]) {
+        ASSERT_EQ(closures.closure(p), closures.closure(1))
+            << tag << " P" << p;
+      }
+    }
 
     // Local proofs: the ETF targets' conjunctions are their own; the
     // three ETH targets share one prelude, built once.

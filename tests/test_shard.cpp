@@ -24,6 +24,7 @@
 #include "persist/persist.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
+#include "ts/cone_view.h"
 #include "ts/trace.h"
 
 namespace javer::mp::shard {
@@ -702,7 +703,9 @@ TEST(Prelude, ShardedRunGivesTheSameVerdictsAndPreludeCountersOnAnyThreadCount) 
 }
 
 TEST(Prelude, PlantedNonInductiveCubeIsDroppedOnceAndNeverReachesFinf) {
-  aig::Aig aig = gen::make_synthetic(prelude_spec());
+  // One component: every property reads the `tie` latch, so every task
+  // has one closure, which holds every property's cone.
+  aig::Aig aig = gen::single_component(gen::make_synthetic(prelude_spec()));
   ts::TransitionSystem ts(aig);
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "javer_prelude_plant")
@@ -730,10 +733,26 @@ TEST(Prelude, PlantedNonInductiveCubeIsDroppedOnceAndNeverReachesFinf) {
     ASSERT_TRUE(sim.value(ts.property_lit(p))) << "P" << p;
   }
   const std::vector<bool> next = sim.next_state();
+  // The latch is one some property reads, so it lies in the one closure
+  // every task runs on.
+  std::vector<aig::Lit> props;
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    props.push_back(ts.property_lit(p));
+  }
+  const std::vector<int> read = ts::cone_latches(ts.aig(), props);
+  const ts::ClosureIndex closures(
+      ts, std::vector<bool>(ts.num_properties(), true));
+  const std::vector<int> closure = closures.closure(0);
+  for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+    ASSERT_EQ(closures.closure(p), closure) << "P" << p;
+  }
+  ASSERT_TRUE(
+      std::includes(closure.begin(), closure.end(), read.begin(), read.end()));
   ts::Cube planted;
-  for (std::size_t i = 0; i < next.size() && planted.empty(); ++i) {
+  for (int i : read) {
     if (ts.aig().latches()[i].reset != Ternary::X && next[i] != init[i]) {
-      planted.push_back(ts::StateLit{static_cast<int>(i), next[i]});
+      planted.push_back(ts::StateLit{i, next[i]});
+      break;
     }
   }
   ASSERT_FALSE(planted.empty());
