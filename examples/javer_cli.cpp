@@ -66,9 +66,6 @@ struct CliOptions {
   std::size_t max_cluster_size = 64;  // sharded: shard size cap
   javer::mp::exchange::ExchangeMode lemma_exchange =
       javer::mp::exchange::ExchangeMode::Units;  // sharded only
-  javer::ic3::Ic3SolverMode ic3_solver =
-      javer::ic3::Ic3SolverMode::Monolithic;
-  bool ic3_template = true;
   bool reuse = true;
   bool strict_lifting = false;
   bool simplify = false;
@@ -159,19 +156,12 @@ void usage(std::FILE* out) {
 "                         (default: units)\n"
 "\n"
 "strategy knobs:\n"
-"  --ic3-solver MODE    per-frame | monolithic    (default: monolithic)\n"
-"                         per-frame   one SAT context per IC3 frame\n"
-"                         monolithic  one activation-literal context for\n"
-"                                     every frame: the transition relation\n"
-"                                     is encoded once and learned clauses\n"
-"                                     transfer across frames\n"
-"  --no-template        re-run the Tseitin encoder per SAT context instead\n"
-"                       of replaying one shared CNF template (ablation)\n"
 "  --order KIND         design | cone | shuffle       (default: design)\n"
 "  --no-reuse           disable strengthening-clause re-use\n"
 "  --strict-lifting     lifting respects property constraints (paper 7-A)\n"
-"  --simplify           preprocess every SAT context's CNF (subsumption +\n"
-"                       bounded variable elimination, sat/simp/)\n"
+"  --simplify           simplify each IC3 CNF template and BMC frame\n"
+"                       (subsumption + bounded variable elimination,\n"
+"                       sat/simp/)\n"
 "  --etf I              mark property I Expected-To-Fail; repeatable\n"
 "                       (ETF properties are never assumed)\n"
 "\n"
@@ -211,7 +201,7 @@ void usage(std::FILE* out) {
 "                       \"final\" line\n"
 "  --profile-out FILE   write per-(phase, shard, property) latency\n"
 "                       histograms (IC3 SAT queries by kind, BMC solves,\n"
-"                       template replay vs cold encode, persist I/O) as\n"
+"                       CNF template replay, persist I/O) as\n"
 "                       JSON\n"
 "  --profile-folded FILE  same data as folded-stack lines for\n"
 "                       flamegraph.pl / speedscope\n"
@@ -370,21 +360,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         return false;
       }
       opts.lemma_exchange = *mode;
-    } else if (arg == "--ic3-solver") {
-      const char* v = next("--ic3-solver");
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "per-frame") == 0) {
-        opts.ic3_solver = javer::ic3::Ic3SolverMode::PerFrame;
-      } else if (std::strcmp(v, "monolithic") == 0) {
-        opts.ic3_solver = javer::ic3::Ic3SolverMode::Monolithic;
-      } else {
-        std::fprintf(stderr,
-                     "javer_cli: --ic3-solver wants per-frame|monolithic, "
-                     "got '%s'\n", v);
-        return false;
-      }
-    } else if (arg == "--no-template") {
-      opts.ic3_template = false;
     } else if (arg == "--order") {
       const char* v = next("--order");
       if (v == nullptr) return false;
@@ -697,8 +672,6 @@ int main(int argc, char** argv) {
     opts.clause_reuse = cli.reuse;
     opts.lifting_respects_constraints = cli.strict_lifting;
     opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
     opts.cache_dir = cli.cache_dir;
     opts.order = order;
     opts.sim_filter = sim_opts;
@@ -713,8 +686,6 @@ int main(int argc, char** argv) {
     opts.local_proofs = false;
     opts.clause_reuse = cli.reuse;
     opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
     opts.cache_dir = cli.cache_dir;
     opts.time_limit_per_property = cli.time_limit;
     opts.order = order;
@@ -729,8 +700,6 @@ int main(int argc, char** argv) {
     mp::JointOptions opts;
     opts.total_time_limit = cli.time_limit;
     opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
     opts.tracer = tracer_ptr;
     opts.metrics = metrics_ptr;
     opts.progress = board_ptr;
@@ -743,8 +712,6 @@ int main(int argc, char** argv) {
     opts.clause_reuse = cli.reuse;
     opts.lifting_respects_constraints = cli.strict_lifting;
     opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
     opts.cache_dir = cli.cache_dir;
     opts.sim_filter = sim_opts;
     opts.fault_plan = cli.fault_inject;
@@ -763,8 +730,6 @@ int main(int argc, char** argv) {
     opts.engine.clause_reuse = cli.reuse;
     opts.engine.lifting_respects_constraints = cli.strict_lifting;
     opts.engine.simplify = cli.simplify;
-    opts.engine.ic3_solver = cli.ic3_solver;
-    opts.engine.ic3_use_template = cli.ic3_template;
     opts.engine.cache_dir = cli.cache_dir;
     opts.engine.order = order;
     opts.engine.sim_filter = sim_opts;
@@ -784,8 +749,6 @@ int main(int argc, char** argv) {
     opts.base.engine.clause_reuse = cli.reuse;
     opts.base.engine.lifting_respects_constraints = cli.strict_lifting;
     opts.base.engine.simplify = cli.simplify;
-    opts.base.engine.ic3_solver = cli.ic3_solver;
-    opts.base.engine.ic3_use_template = cli.ic3_template;
     opts.base.engine.cache_dir = cli.cache_dir;
     opts.base.engine.order = order;
     opts.base.engine.sim_filter = sim_opts;
@@ -854,12 +817,11 @@ int main(int argc, char** argv) {
       peak = std::max<unsigned long long>(peak, es.peak_live_solvers);
     }
     std::fprintf(info,
-                 "encode: %s (%s, %llu context(s), %llu template build(s), "
+                 "encode: %s (%llu context(s), %llu template build(s), "
                  "%llu replay(s), %llu rebuild(s), peak %llu live "
                  "solver(s))\n",
-                 mp::format_duration(encode_seconds).c_str(),
-                 ic3::to_string(cli.ic3_solver), contexts, builds, replays,
-                 rebuilds, peak);
+                 mp::format_duration(encode_seconds).c_str(), contexts,
+                 builds, replays, rebuilds, peak);
   }
   if (!cli.cache_dir.empty()) {
     const persist::PersistStats& cs = result.cache_stats;

@@ -3,74 +3,29 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "cnf/tseitin.h"
-
 namespace javer::ic3 {
 
 StepContext::StepContext(const ts::TransitionSystem& ts, const Config& config)
-    : ts_(ts), pre_(solver_, config.simplify && config.tmpl == nullptr) {
-  const aig::Aig& aig = ts.aig();
+    : ts_(ts) {
+  if (config.tmpl == nullptr) {
+    throw std::invalid_argument("ic3: a step context needs a CNF template");
+  }
   solver_.set_deadline(config.deadline);
   solver_.set_conflict_budget(config.conflict_budget);
 
-  if (config.tmpl != nullptr) {
-    // Encode-reuse fast path: the one-step cone was Tseitin-encoded (and
-    // simplified) once, in the template; this context is a bulk replay.
-    const cnf::CnfTemplate& t = *config.tmpl;
-    t.instantiate(solver_);
-    latch_lits_ = t.latch_lits();
-    input_lits_ = t.input_lits();
-    next_lits_ = t.next_lits();
-    prop_lit_ = t.property_lit(config.target_prop);
-    assumed_lits_.reserve(config.assumed.size());
-    for (std::size_t j : config.assumed) {
-      assumed_lits_.push_back(t.property_lit(j));
-    }
-    constraint_lits_ = t.constraint_lits();
-  } else {
-    pre_.set_cache(config.simp_cache);
-    cnf::Encoder encoder(aig, pre_);
-    cnf::Encoder::Frame frame = encoder.make_frame();
-
-    // Present-state and input variables first, so their solver variables
-    // are dense and easy to map back from assumption cores.
-    latch_lits_.reserve(aig.num_latches());
-    for (const aig::Latch& l : aig.latches()) {
-      latch_lits_.push_back(encoder.lit(frame, aig::Lit::make(l.var)));
-    }
-    input_lits_.reserve(aig.num_inputs());
-    for (aig::Var v : aig.inputs()) {
-      input_lits_.push_back(encoder.lit(frame, aig::Lit::make(v)));
-    }
-
-    // Combinational cones: next-state functions, properties, constraints.
-    next_lits_.reserve(aig.num_latches());
-    for (const aig::Latch& l : aig.latches()) {
-      next_lits_.push_back(encoder.lit(frame, l.next));
-    }
-    prop_lit_ = encoder.lit(frame, ts.property_lit(config.target_prop));
-    for (std::size_t j : config.assumed) {
-      assumed_lits_.push_back(encoder.lit(frame, ts.property_lit(j)));
-    }
-    for (aig::Lit c : ts.design_constraints()) {
-      constraint_lits_.push_back(encoder.lit(frame, c));
-    }
-
-    // With preprocessing on, the whole one-step encoding above is one
-    // batch: freeze every literal the IC3 loop references afterwards,
-    // simplify the batch, and commit it. Everything below goes to the
-    // solver directly.
-    if (pre_.enabled()) {
-      pre_.freeze(encoder.true_lit());
-      for (sat::Lit l : latch_lits_) pre_.freeze(l);
-      for (sat::Lit l : input_lits_) pre_.freeze(l);
-      for (sat::Lit l : next_lits_) pre_.freeze(l);
-      pre_.freeze(prop_lit_);
-      for (sat::Lit l : assumed_lits_) pre_.freeze(l);
-      for (sat::Lit l : constraint_lits_) pre_.freeze(l);
-    }
-    pre_.flush();
+  // The one-step cone was Tseitin-encoded (and simplified) once, in the
+  // template; this context is a bulk replay.
+  const cnf::CnfTemplate& t = *config.tmpl;
+  t.instantiate(solver_);
+  latch_lits_ = t.latch_lits();
+  input_lits_ = t.input_lits();
+  next_lits_ = t.next_lits();
+  prop_lit_ = t.property_lit(config.target_prop);
+  assumed_lits_.reserve(config.assumed.size());
+  for (std::size_t j : config.assumed) {
+    assumed_lits_.push_back(t.property_lit(j));
   }
+  constraint_lits_ = t.constraint_lits();
 
   constraint_units_ = config.constraint_units;
   if (constraint_units_) {
@@ -229,58 +184,9 @@ ts::Cube StepContext::lift_bad(const std::vector<bool>& state,
   return cube;
 }
 
-std::vector<bool> StepContext::model_state() const {
-  std::vector<bool> s(latch_lits_.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    s[i] = solver_.model_value(latch_lits_[i]) == sat::kTrue;
-  }
-  return s;
-}
-
-std::vector<bool> StepContext::model_inputs() const {
-  std::vector<bool> x(input_lits_.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = solver_.model_value(input_lits_[i]) == sat::kTrue;
-  }
-  return x;
-}
-
-// --- FrameSolver (per-frame backend) ----------------------------------------
-
-FrameSolver::FrameSolver(const ts::TransitionSystem& ts, const Config& config)
-    : StepContext(ts, config) {
-  if (config.init_units) {
-    const aig::Aig& aig = ts.aig();
-    for (std::size_t i = 0; i < aig.num_latches(); ++i) {
-      switch (aig.latches()[i].reset) {
-        case Ternary::False:
-          solver_.add_unit(~latch_lits_[i]);
-          break;
-        case Ternary::True:
-          solver_.add_unit(latch_lits_[i]);
-          break;
-        case Ternary::X:
-          break;  // free initial value
-      }
-    }
-  }
-}
-
-void FrameSolver::add_blocking_clause(const ts::Cube& cube) {
-  std::vector<sat::Lit> clause;
-  clause.reserve(cube.size());
-  for (const ts::StateLit& l : cube) {
-    clause.push_back(~state_assumption(l));
-  }
-  solver_.add_clause(clause);
-}
-
-sat::SolveResult FrameSolver::query_bad() {
-  return solver_.solve({~prop_lit_});
-}
-
-sat::SolveResult FrameSolver::query_consecution(
-    const ts::Cube& cube, bool add_negation, std::vector<std::size_t>* core) {
+sat::SolveResult StepContext::consecution(const ts::Cube& cube,
+                                          bool add_negation, sat::Lit frame,
+                                          std::vector<std::size_t>* core) {
   std::vector<sat::Lit> assumptions;
   sat::Lit act = sat::kUndefLit;
   if (add_negation) {
@@ -292,6 +198,7 @@ sat::SolveResult FrameSolver::query_consecution(
     solver_.add_clause(clause);
     assumptions.push_back(act);
   }
+  if (frame != sat::kUndefLit) assumptions.push_back(frame);
   assumptions.push_back(assumed_act_);
   // Remember which assumption corresponds to which cube literal.
   std::size_t next_base = assumptions.size();
@@ -316,6 +223,37 @@ sat::SolveResult FrameSolver::query_consecution(
   if (add_negation) retire_activation(act);
   return res;
 }
+
+void StepContext::add_blocking(const ts::Cube& cube, sat::Lit frame) {
+  std::vector<sat::Lit> clause;
+  clause.reserve(cube.size() + 1);
+  if (frame != sat::kUndefLit) clause.push_back(~frame);
+  for (const ts::StateLit& l : cube) {
+    clause.push_back(~state_assumption(l));
+  }
+  solver_.add_clause(clause);
+}
+
+std::vector<bool> StepContext::model_state() const {
+  std::vector<bool> s(latch_lits_.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = solver_.model_value(latch_lits_[i]) == sat::kTrue;
+  }
+  return s;
+}
+
+std::vector<bool> StepContext::model_inputs() const {
+  std::vector<bool> x(input_lits_.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = solver_.model_value(input_lits_[i]) == sat::kTrue;
+  }
+  return x;
+}
+
+// --- FrameSolver (lift and seed-checker contexts) ---------------------------
+
+FrameSolver::FrameSolver(const ts::TransitionSystem& ts, const Config& config)
+    : StepContext(ts, config) {}
 
 // --- MonolithicFrameSolver --------------------------------------------------
 
@@ -358,7 +296,7 @@ void MonolithicFrameSolver::ensure_frame(int k) {
     } else {
       // Chain link: assuming act_k propagates act_j for every j >= k, so
       // one assumption activates all delta levels a frame query needs
-      // (solver k of the per-frame topology holds levels >= k).
+      // (F_k holds levels >= k).
       solver_.add_binary(~frame_acts_[j - 1], act);
     }
   }
@@ -376,53 +314,15 @@ sat::SolveResult MonolithicFrameSolver::query_bad(int k) {
 sat::SolveResult MonolithicFrameSolver::query_consecution(
     int k, const ts::Cube& cube, bool add_negation,
     std::vector<std::size_t>* core) {
-  std::vector<sat::Lit> assumptions;
-  sat::Lit act = sat::kUndefLit;
-  if (add_negation) {
-    act = fresh_activation();
-    std::vector<sat::Lit> clause{~act};
-    for (const ts::StateLit& l : cube) {
-      clause.push_back(~state_assumption(l));
-    }
-    solver_.add_clause(clause);
-    assumptions.push_back(act);
-  }
   // kFrameInf: no frame literal — only the permanent (F_inf) clauses
-  // constrain the present state, exactly the per-frame inf context.
-  if (k != kFrameInf) assumptions.push_back(frame_act(k));
-  assumptions.push_back(assumed_act_);
-  std::size_t next_base = assumptions.size();
-  for (const ts::StateLit& l : cube) {
-    assumptions.push_back(next_assumption(l));
-  }
-
-  sat::SolveResult res = solver_.solve(assumptions);
-  if (res == sat::SolveResult::Unsat && core != nullptr) {
-    core->clear();
-    const auto& conflict = solver_.conflict_core();
-    for (std::size_t i = 0; i < cube.size(); ++i) {
-      sat::Lit a = assumptions[next_base + i];
-      for (sat::Lit c : conflict) {
-        if (c == a) {
-          core->push_back(i);
-          break;
-        }
-      }
-    }
-  }
-  if (add_negation) retire_activation(act);
-  return res;
+  // constrain the present state.
+  return consecution(cube, add_negation,
+                     k == kFrameInf ? sat::kUndefLit : frame_act(k), core);
 }
 
 void MonolithicFrameSolver::add_blocking_clause(const ts::Cube& cube,
                                                 int level) {
-  std::vector<sat::Lit> clause;
-  clause.reserve(cube.size() + 1);
-  if (level != kFrameInf) clause.push_back(~frame_act(level));
-  for (const ts::StateLit& l : cube) {
-    clause.push_back(~state_assumption(l));
-  }
-  solver_.add_clause(clause);
+  add_blocking(cube, level == kFrameInf ? sat::kUndefLit : frame_act(level));
 }
 
 }  // namespace javer::ic3

@@ -1,25 +1,24 @@
 // The SAT-query layer beneath IC3: one-step transition-relation contexts.
 //
-// StepContext is the shared machinery — it encodes (or, given a
-// cnf::CnfTemplate, replays) over one time step:
+// StepContext is the shared machinery — it replays a cnf::CnfTemplate
+// (the one-step cone, encoded once) over one time step:
 //   * present-state latch variables and input variables,
 //   * the next-state function literal of every latch (functional T),
 //   * the target property cone and the assumed-property cones,
 //   * design invariant constraints (asserted as units),
 // and owns lifting, model extraction, and UNSAT-core-to-cube mapping.
 //
-// Two backends derive from it:
-//   * FrameSolver — the classic topology: one incremental SAT context per
-//     frame F_k (plus dedicated lift and F_inf contexts), each holding its
-//     frame's blocking clauses outright.
-//   * MonolithicFrameSolver — one SAT context for *every* frame: each F_k
-//     gets an activation literal act_k with an implication chain
+// Two context types derive from it:
+//   * MonolithicFrameSolver — IC3's one SAT context for *every* frame:
+//     each F_k gets an activation literal act_k with an implication chain
 //     act_k → act_{k+1}, blocking clauses are added as (¬act_k ∨ ¬cube),
 //     consecution queries assume {act_k, ...}, and F_inf clauses are
 //     permanent (untagged). Learned clauses transfer across frames for
-//     free and the transition relation is encoded exactly once. The
-//     engine pairs it with one blocking-clause-free lift context (see
-//     the class comment below for why lifting must not live here).
+//     free and the transition relation is replayed exactly once.
+//   * FrameSolver — a frame-free context holding its blocking clauses
+//     outright: the engine's lift companion (see the MonolithicFrameSolver
+//     class comment for why lifting must not live there) and the
+//     throwaway checker of the seed re-validation fixpoint.
 //
 // Assumed properties ("just assume" constraints, Section 7-A of the paper)
 // are attached behind one activation literal so that consecution queries
@@ -33,7 +32,6 @@
 
 #include "base/timer.h"
 #include "cnf/template.h"
-#include "sat/simp/preprocessor.h"
 #include "sat/solver.h"
 #include "ts/transition_system.h"
 
@@ -44,23 +42,14 @@ class StepContext {
   struct Config {
     std::size_t target_prop = 0;
     std::vector<std::size_t> assumed;  // property indices assumed to hold
-    bool init_units = false;           // assert initial state (frame 0)
     // Assert the design constraints as permanent units. Lift contexts
     // must turn this off: under a unit, the "some constraint fails"
     // disjuncts of a lift's refutation clause are dead, so the lifted
     // cube could keep states that violate a constraint.
     bool constraint_units = true;
-    // Preprocess the transition-relation CNF (subsumption + bounded
-    // variable elimination over the Tseitin auxiliaries) before solving.
-    // Only used on the direct-encode path (tmpl == nullptr); a template
-    // arrives already simplified.
-    bool simplify = false;
-    // Optional memoization shared by direct-encode contexts that encode
-    // the same transition relation (legacy; subsumed by `tmpl`).
-    sat::simp::BatchCache* simp_cache = nullptr;
-    // Pre-encoded transition relation (cnf/template.h). When set, the
-    // context is a bulk replay of the template — no Tseitin run, no
-    // simplification. Must encode the target and every assumed property.
+    // Pre-encoded transition relation (cnf/template.h), required: the
+    // context is a bulk replay of it. Must encode the target and every
+    // assumed property.
     const cnf::CnfTemplate* tmpl = nullptr;
     const Deadline* deadline = nullptr;
     std::uint64_t conflict_budget = 0;
@@ -85,12 +74,11 @@ class StepContext {
   // Number of retired activation literals; high counts warrant a rebuild.
   int retired_activations() const { return retired_activations_; }
   const sat::SolverStats& stats() const { return solver_.stats(); }
-  const sat::simp::SimpStats& simp_stats() const { return pre_.stats(); }
 
  protected:
-  // Encodes the one-step cone (template replay or direct Tseitin), asserts
-  // the constraint units, and builds the assumed-property activation.
-  // Initial-state handling is left to the derived class.
+  // Replays the template, asserts the constraint units, and builds the
+  // assumed-property activation. Throws std::invalid_argument without a
+  // template. Initial-state handling is left to the derived class.
   StepContext(const ts::TransitionSystem& ts, const Config& config);
   ~StepContext() = default;
 
@@ -100,10 +88,18 @@ class StepContext {
   void retire_activation(sat::Lit act);
   ts::Cube lift_core_to_cube() const;
   void require_lift_context() const;
+  // SAT?[clauses ∧ constraints ∧ assumed ∧ (¬cube)? ∧ T ∧ cube'], also
+  // assuming `frame` unless it is undefined. On UNSAT, a non-null `core`
+  // receives the indices into `cube` of the literals that appear in the
+  // assumption core (a sufficient subset for unreachability).
+  sat::SolveResult consecution(const ts::Cube& cube, bool add_negation,
+                               sat::Lit frame, std::vector<std::size_t>* core);
+  // Adds the blocking clause ¬cube, guarded by ¬frame unless `frame` is
+  // undefined.
+  void add_blocking(const ts::Cube& cube, sat::Lit frame);
 
   const ts::TransitionSystem& ts_;
   sat::Solver solver_;
-  sat::simp::Preprocessor pre_;  // direct-encode path only; else disabled
 
   std::vector<sat::Lit> latch_lits_;
   std::vector<sat::Lit> input_lits_;
@@ -124,41 +120,36 @@ class StepContext {
   int retired_activations_ = 0;
 };
 
-// One incremental SAT context used by IC3 for a single frame F_k (or for
-// lifting): the per-frame backend.
+// A frame-free context: no initial-state units, blocking clauses held
+// outright. IC3's lift companion and seed checker.
 class FrameSolver : public StepContext {
  public:
   using Config = StepContext::Config;
 
   FrameSolver(const ts::TransitionSystem& ts, const Config& config);
 
-  // Adds the permanent blocking clause ¬cube to this frame.
-  void add_blocking_clause(const ts::Cube& cube);
+  // Adds the permanent blocking clause ¬cube to this context.
+  void add_blocking_clause(const ts::Cube& cube) {
+    add_blocking(cube, sat::kUndefLit);
+  }
 
-  // SAT?[F ∧ design-constraints ∧ ¬P]: looks for a bad state in the frame.
-  // Assumed properties are *not* asserted (the failing state need not
-  // satisfy them).
-  sat::SolveResult query_bad();
-
-  // SAT?[F ∧ constraints ∧ assumed ∧ (¬cube)? ∧ T ∧ cube'].
-  // On UNSAT, when `core` is non-null it receives the indices into `cube`
-  // of the literals that appear in the assumption core (a sufficient
-  // subset for unreachability).
+  // SAT?[F ∧ constraints ∧ assumed ∧ (¬cube)? ∧ T ∧ cube'], F being this
+  // context's blocking clauses; `core` as in StepContext::consecution.
   sat::SolveResult query_consecution(const ts::Cube& cube, bool add_negation,
-                                     std::vector<std::size_t>* core);
+                                     std::vector<std::size_t>* core) {
+    return consecution(cube, add_negation, sat::kUndefLit, core);
+  }
 };
 
-// The monolithic backend: one SAT context whose frame membership is a set
-// of assumptions. Frame F_k is addressed by its activation literal; the
+// IC3's frame context: one SAT context whose frame membership is a set of
+// assumptions. Frame F_k is addressed by its activation literal; the
 // implication chain act_k → act_{k+1} makes one assumption activate every
-// delta level >= k (matching the per-frame solvers, where solver k holds
-// the clauses of all levels >= k). Initial-state units sit behind act_0;
-// F_inf clauses are permanent (every frame query includes them, exactly
-// as every per-frame solver holds them outright), so this one context
-// subsumes the whole frame vector plus the dedicated F_inf context.
+// delta level >= k (F_k holds the clauses of all levels >= k).
+// Initial-state units sit behind act_0; F_inf clauses are permanent (every
+// frame query includes them), and an F_inf query assumes no frame literal.
 //
 // Lifting stays in a separate blocking-clause-free context (the engine
-// keeps its lift FrameSolver in monolithic mode too), for two reasons.
+// keeps a lift FrameSolver beside this one), for two reasons.
 // Soundness: counterexample reconstruction relies on the *unconditional*
 // universal-cube property (every state in a lifted cube steps into the
 // target), and F_inf clauses are only invariant relative to the path
@@ -175,8 +166,7 @@ class MonolithicFrameSolver : public StepContext {
   // Frame index addressing F_inf (permanent clauses, no activation).
   static constexpr int kFrameInf = INT32_MAX;
 
-  // `config.init_units` is ignored: the initial state is always encoded,
-  // behind act_0.
+  // The initial state is always encoded, behind act_0.
   MonolithicFrameSolver(const ts::TransitionSystem& ts, const Config& config);
 
   // Allocates activation literals for frames 0..k and their chain links.

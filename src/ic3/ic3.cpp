@@ -138,7 +138,6 @@ Ic3::Ic3(const ts::TransitionSystem& ts, std::size_t target_prop,
     prof_seed_validate_ = opts_.profile.slot("ic3/seed_validate");
     prof_mine_sim_ = opts_.profile.slot("ic3/mine_sim");
     prof_replay_ = opts_.profile.slot("cnf/replay");
-    prof_encode_ = opts_.profile.slot("cnf/encode");
   }
 }
 
@@ -147,7 +146,6 @@ Ic3::~Ic3() = default;
 // --- encode reuse -----------------------------------------------------------
 
 const cnf::CnfTemplate* Ic3::acquire_template() {
-  if (!opts_.use_template) return nullptr;
   if (tmpl_) return tmpl_.get();
   cnf::CnfTemplate::Spec spec;
   spec.props = opts_.assumed;
@@ -156,7 +154,7 @@ const cnf::CnfTemplate* Ic3::acquire_template() {
   cnf::TemplateCache* cache = opts_.template_cache;
   if (cache == nullptr) {
     // No shared cache: a private one still collapses this engine's
-    // per-frame/per-rebuild encodings into one.
+    // contexts and rebuilds onto one encoding.
     own_cache_ = std::make_unique<cnf::TemplateCache>(ts_);
     cache = own_cache_.get();
   }
@@ -176,15 +174,11 @@ const cnf::CnfTemplate* Ic3::acquire_template() {
   return tmpl_.get();
 }
 
-StepContext::Config Ic3::base_config(bool init_units) {
+StepContext::Config Ic3::base_config() {
   StepContext::Config config;
   config.target_prop = target_prop_;
   config.assumed = opts_.assumed;
-  config.init_units = init_units;
-  config.simplify = opts_.simplify;
   config.tmpl = acquire_template();
-  config.simp_cache =
-      (opts_.simplify && config.tmpl == nullptr) ? &simp_cache_ : nullptr;
   // The slice deadline is the effective one (overall ∧ slice); a Deadline
   // with budget 0 never expires, so unbudgeted runs are unaffected.
   config.deadline = &slice_deadline_;
@@ -192,40 +186,33 @@ StepContext::Config Ic3::base_config(bool init_units) {
   return config;
 }
 
-void Ic3::note_context_created(double seconds, bool templated,
-                               std::uint64_t extra_live) {
+void Ic3::note_context_created(double seconds, std::uint64_t extra_live) {
   stats_.solver_contexts_created++;
   stats_.encode_seconds += seconds;
-  if (templated) stats_.template_instantiations++;
-  if (obs::LatencyHisto* h = templated ? prof_replay_ : prof_encode_) {
-    h->record(static_cast<std::uint64_t>(seconds * 1e6));
+  stats_.template_instantiations++;
+  if (prof_replay_ != nullptr) {
+    prof_replay_->record(static_cast<std::uint64_t>(seconds * 1e6));
   }
-  std::uint64_t live = extra_live + solvers_.size() +
-                       (lift_solver_ ? 1 : 0) + (inf_solver_ ? 1 : 0) +
-                       (mono_ ? 1 : 0);
+  std::uint64_t live =
+      extra_live + (lift_solver_ ? 1 : 0) + (mono_ ? 1 : 0);
   stats_.peak_live_solvers = std::max(stats_.peak_live_solvers, live);
 }
 
-std::unique_ptr<FrameSolver> Ic3::make_solver(int k, bool constraint_units) {
-  StepContext::Config config = base_config(k == 0);
+std::unique_ptr<FrameSolver> Ic3::make_solver(bool constraint_units) {
+  StepContext::Config config = base_config();
   config.constraint_units = constraint_units;
   Timer timer;
   auto fs = std::make_unique<FrameSolver>(ts_, config);
   // The new context is still in our hands, not in a member yet: +1 live.
-  note_context_created(timer.seconds(), config.tmpl != nullptr, 1);
+  note_context_created(timer.seconds(), 1);
   return fs;
-}
-
-std::unique_ptr<FrameSolver> Ic3::make_checker() {
-  // Same shape as a lift context: no init units, no frame clauses.
-  return make_solver(-1);
 }
 
 // --- statistics -------------------------------------------------------------
 
 namespace {
 
-// Folds one solver context's SAT/simp counters into `into` — shared by
+// Folds one solver context's SAT counters into `into` — shared by
 // retiring contexts (absorb_stats) and the per-slice cumulative report
 // (finalize_stats) so the two can never disagree field-for-field.
 void fold_solver_stats(Ic3Stats& into, const StepContext& fs) {
@@ -233,10 +220,6 @@ void fold_solver_stats(Ic3Stats& into, const StepContext& fs) {
   into.sat_propagations += s.propagations;
   into.sat_conflicts += s.conflicts;
   into.sat_decisions += s.decisions;
-  const sat::simp::SimpStats& p = fs.simp_stats();
-  into.simp_vars_eliminated += p.vars_eliminated;
-  into.simp_clauses_in += p.clauses_in;
-  into.simp_clauses_out += p.clauses_out;
 }
 
 }  // namespace
@@ -250,18 +233,14 @@ Ic3Stats Ic3::finalize_stats() const {
   // without mutating stats_ so that every slice can report the cumulative
   // numbers (live counters keep accumulating across slices).
   Ic3Stats out = stats_;
-  for (const auto& fs : solvers_) fold_solver_stats(out, *fs);
   if (lift_solver_) fold_solver_stats(out, *lift_solver_);
-  if (inf_solver_) fold_solver_stats(out, *inf_solver_);
   if (mono_) fold_solver_stats(out, *mono_);
   return out;
 }
 
 std::uint64_t Ic3::total_conflicts() const {
   std::uint64_t total = stats_.sat_conflicts;
-  for (const auto& fs : solvers_) total += fs->stats().conflicts;
   if (lift_solver_) total += lift_solver_->stats().conflicts;
-  if (inf_solver_) total += inf_solver_->stats().conflicts;
   if (mono_) total += mono_->stats().conflicts;
   return total;
 }
@@ -306,29 +285,6 @@ void Ic3::poll_budget() const {
 
 // --- solver contexts --------------------------------------------------------
 
-FrameSolver& Ic3::ctx(int k) {
-  assert(!monolithic());
-  assert(k >= 0 && k < static_cast<int>(solvers_.size()));
-  FrameSolver& fs = *solvers_[k];
-  if (fs.retired_activations() <= opts_.rebuild_threshold) return fs;
-
-  // Too many dead activation literals: rebuild this frame's solver from
-  // the transition system plus the cubes blocked at levels >= k.
-  stats_.solver_rebuilds++;
-  opts_.trace.instant("ic3", "rebuild_frame");
-  absorb_stats(*solvers_[k]);
-  solvers_[k] = make_solver(k);
-  if (k > 0) {
-    for (const ts::Cube& c : inf_cubes_) solvers_[k]->add_blocking_clause(c);
-    for (int j = k; j < static_cast<int>(frame_cubes_.size()); ++j) {
-      for (const ts::Cube& c : frame_cubes_[j]) {
-        solvers_[k]->add_blocking_clause(c);
-      }
-    }
-  }
-  return *solvers_[k];
-}
-
 FrameSolver& Ic3::lift_ctx() {
   if (!lift_solver_ ||
       lift_solver_->retired_activations() > opts_.rebuild_threshold) {
@@ -339,52 +295,39 @@ FrameSolver& Ic3::lift_ctx() {
       lift_solver_.reset();
     }
     // No init units, no frame clauses, no constraint units.
-    lift_solver_ = make_solver(-1, /*constraint_units=*/false);
+    lift_solver_ = make_solver(/*constraint_units=*/false);
   }
   return *lift_solver_;
 }
 
-FrameSolver& Ic3::inf_ctx() {
-  assert(!monolithic());
-  if (!inf_solver_ ||
-      inf_solver_->retired_activations() > opts_.rebuild_threshold) {
-    if (inf_solver_) {
-      stats_.solver_rebuilds++;
-      opts_.trace.instant("ic3", "rebuild_inf");
-      absorb_stats(*inf_solver_);
-      inf_solver_.reset();
-    }
-    inf_solver_ = make_solver(-1);
-    for (const ts::Cube& c : inf_cubes_) inf_solver_->add_blocking_clause(c);
-  }
-  return *inf_solver_;
-}
-
 MonolithicFrameSolver& Ic3::mono() {
-  assert(monolithic());
   if (!mono_) {
     install_mono(0);
   } else if (mono_->retired_activations() >
              static_cast<long long>(opts_.rebuild_threshold) *
                  (mono_->num_frames() + 2)) {
-    // The single context absorbs the retirement churn of every frame plus
-    // the F_inf role, so its garbage budget is the per-frame topology's
-    // total: threshold × (frames + companion contexts).
-    rebuild_mono();
+    // The one context absorbs the retirement churn of every frame plus
+    // the F_inf role, so its garbage budget scales with them:
+    // threshold × (frames + 2). A rebuild re-instantiates the template
+    // and replays the frame/F_inf clause lists, dropping retired
+    // activation garbage and stale pushed copies.
+    stats_.solver_rebuilds++;
+    opts_.trace.instant("ic3", "rebuild_mono");
+    absorb_stats(*mono_);
+    install_mono(mono_->num_frames());
   }
   return *mono_;
 }
 
-// (Re)creates the monolithic context and replays the current F_inf and
+// (Re)creates the frame context and replays the current F_inf and
 // delta-frame clause lists into it — on first creation these carry the
-// validated seed clauses (installed at context birth in the per-frame
-// topology), on a rebuild everything blocked so far.
+// validated seed clauses, on a rebuild everything blocked so far.
 void Ic3::install_mono(int frames) {
   mono_.reset();
-  StepContext::Config config = base_config(false);
+  StepContext::Config config = base_config();
   Timer timer;
   mono_ = std::make_unique<MonolithicFrameSolver>(ts_, config);
-  note_context_created(timer.seconds(), config.tmpl != nullptr, 0);
+  note_context_created(timer.seconds(), 0);
   if (frames > 0) mono_->ensure_frame(frames - 1);
   for (const ts::Cube& c : inf_cubes_) {
     mono_->add_blocking_clause(c, MonolithicFrameSolver::kFrameInf);
@@ -396,25 +339,13 @@ void Ic3::install_mono(int frames) {
   }
 }
 
-void Ic3::rebuild_mono() {
-  // One rebuild replaces the per-frame topology's N separate rebuilds:
-  // re-instantiate the template and replay the frame/F_inf clause lists
-  // (dropping retired activation garbage and stale pushed copies).
-  stats_.solver_rebuilds++;
-  opts_.trace.instant("ic3", "rebuild_mono");
-  absorb_stats(*mono_);
-  install_mono(mono_->num_frames());
-}
-
-// --- backend dispatch -------------------------------------------------------
+// --- queries ----------------------------------------------------------------
 
 sat::SolveResult Ic3::consecution(int k, const ts::Cube& cube,
                                   bool add_negation,
                                   std::vector<std::size_t>* core) {
   fault::inject_point("ic3.consecution");
-  if (monolithic()) return mono().query_consecution(k, cube, add_negation, core);
-  if (k == kLevelInf) return inf_ctx().query_consecution(cube, add_negation, core);
-  return ctx(k).query_consecution(cube, add_negation, core);
+  return mono().query_consecution(k, cube, add_negation, core);
 }
 
 sat::SolveResult Ic3::counted_consecution(obs::LatencyHisto* histo,
@@ -430,16 +361,7 @@ sat::SolveResult Ic3::counted_consecution(obs::LatencyHisto* histo,
 sat::SolveResult Ic3::bad_query(int k) {
   stats_.bad_queries++;
   obs::ProfileTimer timer(prof_bad_);
-  if (monolithic()) return mono().query_bad(k);
-  return ctx(k).query_bad();
-}
-
-std::vector<bool> Ic3::model_state(int k) const {
-  return monolithic() ? mono_->model_state() : solvers_[k]->model_state();
-}
-
-std::vector<bool> Ic3::model_inputs(int k) const {
-  return monolithic() ? mono_->model_inputs() : solvers_[k]->model_inputs();
+  return mono().query_bad(k);
 }
 
 ts::Cube Ic3::lift_predecessor(const std::vector<bool>& state,
@@ -457,20 +379,6 @@ ts::Cube Ic3::lift_bad(const std::vector<bool>& state,
   return lift_ctx().lift_bad(state, inputs);
 }
 
-void Ic3::solver_add_blocking(const ts::Cube& cube, int level,
-                              int from_level) {
-  if (monolithic()) {
-    mono().add_blocking_clause(
-        cube, level == kLevelInf ? MonolithicFrameSolver::kFrameInf : level);
-    return;
-  }
-  assert(level != kLevelInf);
-  int hi = std::min(level, static_cast<int>(solvers_.size()) - 1);
-  for (int j = std::max(from_level, 1); j <= hi; ++j) {
-    solvers_[j]->add_blocking_clause(cube);
-  }
-}
-
 void Ic3::add_inf_cube(const ts::Cube& cube) {
   // Drop delta-frame cubes the new clause subsumes everywhere.
   for (auto& level : frame_cubes_) {
@@ -482,14 +390,7 @@ void Ic3::add_inf_cube(const ts::Cube& cube) {
   }
   inf_cubes_.push_back(cube);
   if (cube.size() == 1) unit_stamp(cube[0]) = kHeld;
-  if (monolithic()) {
-    mono().add_blocking_clause(cube, MonolithicFrameSolver::kFrameInf);
-  } else {
-    inf_ctx().add_blocking_clause(cube);
-    for (std::size_t k = 1; k < solvers_.size(); ++k) {
-      solvers_[k]->add_blocking_clause(cube);
-    }
-  }
+  mono().add_blocking_clause(cube, kLevelInf);
   stats_.clauses_added++;
 }
 
@@ -497,20 +398,7 @@ void Ic3::ensure_frame(int k) {
   while (static_cast<int>(frame_cubes_.size()) <= k) {
     frame_cubes_.emplace_back();
   }
-  if (monolithic()) {
-    mono().ensure_frame(k);
-    return;
-  }
-  while (static_cast<int>(solvers_.size()) <= k) {
-    int idx = static_cast<int>(solvers_.size());
-    solvers_.push_back(make_solver(idx));
-    if (idx > 0) {
-      for (const ts::Cube& c : inf_cubes_) {
-        solvers_[idx]->add_blocking_clause(c);
-      }
-      // Delta levels above idx do not exist yet, so F_idx = F_inf here.
-    }
-  }
+  mono().ensure_frame(k);
 }
 
 sat::SolveResult Ic3::checked(sat::SolveResult r) const {
@@ -532,10 +420,6 @@ void Ic3::start_up() {
   if (mono_) {
     absorb_stats(*mono_);
     mono_.reset();
-  }
-  if (inf_solver_) {
-    absorb_stats(*inf_solver_);
-    inf_solver_.reset();
   }
   inf_cubes_.clear();
   unit_stamps_.assign(2 * ts_.num_latches(), 0);
@@ -618,7 +502,8 @@ std::vector<ts::Cube> Ic3::build_prelude(const std::vector<ts::Cube>& seeds,
   }
 
   while (!candidates.empty()) {
-    std::unique_ptr<FrameSolver> checker = make_checker();
+    std::unique_ptr<FrameSolver> checker =
+        make_solver(/*constraint_units=*/true);
     for (const ts::Cube& c : fixed) checker->add_blocking_clause(c);
     for (const ts::Cube& c : candidates) checker->add_blocking_clause(c);
 
@@ -650,7 +535,7 @@ std::vector<ts::Cube> Ic3::build_prelude(const std::vector<ts::Cube>& seeds,
   for (const ts::Cube& c : candidates) {
     // A kept seed base mined is in F_inf already.
     if (base != nullptr && c.size() == 1 && unit_held(c[0])) continue;
-    if (mono_ || inf_solver_) {
+    if (mono_) {
       add_inf_cube(c);
     } else {
       inf_cubes_.push_back(c);  // installed when the context is made
@@ -803,7 +688,7 @@ void Ic3::add_blocked_cube(const ts::Cube& cube, int level) {
                list.end());
   }
   frame_cubes_[level].push_back(cube);
-  solver_add_blocking(cube, level, 1);
+  mono().add_blocking_clause(cube, level);
   stats_.clauses_added++;
 }
 
@@ -858,8 +743,8 @@ void Ic3::build_cex(const std::vector<bool>& init_state,
 }
 
 bool Ic3::block_from_bad_state() {
-  std::vector<bool> state = model_state(top_frame_);
-  std::vector<bool> inputs = model_inputs(top_frame_);
+  std::vector<bool> state = model_state();
+  std::vector<bool> inputs = model_inputs();
   ts::Cube cube = lift_bad(state, inputs);
 
   if (!ts_.cube_disjoint_from_init(cube)) {
@@ -939,10 +824,9 @@ bool Ic3::block_obligation(int root_index) {
       }
     } else {
       // A predecessor exists; lift it and recurse one frame down. The
-      // model is copied before the lift query (which reuses the solver in
-      // monolithic mode) can clobber it.
-      std::vector<bool> pstate = model_state(k - 1);
-      std::vector<bool> pinputs = model_inputs(k - 1);
+      // model is copied before any later query can clobber it.
+      std::vector<bool> pstate = model_state();
+      std::vector<bool> pinputs = model_inputs();
       ts::Cube pcube = lift_predecessor(pstate, pinputs, pool_[oi].cube,
                                         opts_.lifting_respects_constraints);
 
@@ -988,7 +872,7 @@ void Ic3::propagate_and_check_fixpoint() {
       }
       if (r == sat::SolveResult::Unsat) {
         frame_cubes_[lvl + 1].push_back(cubes[i]);
-        solver_add_blocking(cubes[i], lvl + 1, lvl + 1);
+        mono().add_blocking_clause(cubes[i], lvl + 1);
       } else {
         keep.push_back(cubes[i]);
       }
@@ -1027,7 +911,7 @@ Ic3Result Ic3::run(const Ic3Budget& budget) {
     if (phase_ == Phase::Depth0) {
       // Depth-0 check: an initial state violating the property.
       if (checked(bad_query(0)) == sat::SolveResult::Sat) {
-        build_cex(model_state(0), model_inputs(0), -1);
+        build_cex(model_state(), model_inputs(), -1);
         phase_ = Phase::Done;
         final_status_ = CheckStatus::Fails;
         result.status = CheckStatus::Fails;

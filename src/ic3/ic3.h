@@ -10,6 +10,9 @@
 //  * inductive invariant export for the clause database;
 //  * counterexample traces built from lifted obligation chains, with the
 //    universal-lifting property making reconstruction purely simulative.
+// Queries run on one activation-literal context for every frame plus a
+// lift companion (ic3/frames.h), each a replay of the engine's CNF
+// template.
 #ifndef JAVER_IC3_IC3_H
 #define JAVER_IC3_IC3_H
 
@@ -21,7 +24,6 @@
 #include "base/timer.h"
 #include "cnf/template.h"
 #include "ic3/frames.h"
-#include "ic3/solver_mode.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "ts/trace.h"
@@ -96,28 +98,24 @@ struct Ic3Options {
   // memo's snapshot; otherwise, or when null, the engine builds its own
   // prelude from `seed_clauses`.
   Ic3PreludeMemo* prelude_memo = nullptr;
-  // Preprocess each solver context's transition-relation CNF (subsumption
-  // + bounded variable elimination, sat/simp/) before solving.
+  // Simplify the engine's transition-relation template once at build time
+  // (subsumption + bounded variable elimination, sat/simp/).
   bool simplify = false;
 
-  // Solver topology: one SAT context per frame (classic) or one
-  // activation-literal context for every frame plus a lift companion
-  // (encode once, learn once).
-  Ic3SolverMode solver_mode = Ic3SolverMode::Monolithic;
-  // Encode the transition relation once into a cnf::CnfTemplate and replay
-  // it into every context this engine creates (frames, lift, F_inf, seed
-  // checkers, rebuilds) instead of re-running the Tseitin encoder.
-  bool use_template = true;
-  // Optional shared template memo (cnf/template.h). The schedulers pass
-  // one per run so sibling engines with the same {target} ∪ assumed set
-  // share the encoding; null = the engine keeps a private one. Must
-  // outlive the engine; thread-safe.
+  // Optional shared template memo (cnf/template.h). Every context this
+  // engine creates (frames, lift, seed checkers, rebuilds) replays one
+  // template; the schedulers pass one memo per run so sibling engines with
+  // the same {target} ∪ assumed set share the encoding; null = the engine
+  // keeps a private one. Must outlive the engine; thread-safe.
   cnf::TemplateCache* template_cache = nullptr;
 
   double time_limit_seconds = 0.0;
   std::uint64_t conflict_budget_per_query = 0;
   int max_frames = 100000;
   std::size_t max_obligations = 2u << 20;
+  // Rebuild a context once this many activation literals retired (the
+  // frame context scales it by its frame count); garbage accumulates in
+  // the solver until then.
   int rebuild_threshold = 500;
   // Observability (src/obs): instant events for solver rebuilds and
   // F_inf lemma installs, tagged with the caller's (shard, property). A
@@ -125,7 +123,7 @@ struct Ic3Options {
   // heavyweight per-query counters stay in Ic3Stats regardless.
   obs::TraceSink trace;
   // Phase profiler (obs/profile.h): per-SAT-query latency histograms for
-  // consecution / bad_query / lift / mic / push plus CNF encode/replay,
+  // consecution / bad_query / lift / mic / push plus CNF replay,
   // keyed by this sink's (shard, property). The sample counts of the
   // query phases equal the matching Ic3Stats counters exactly; seed
   // validation queries are profiled under ic3/seed_validate and the
@@ -159,11 +157,10 @@ struct Ic3Stats {
   // the two.
   std::uint64_t prelude_builds = 0;
   std::uint64_t prelude_reused = 0;
-  // Encode-reuse accounting (cnf/template.h + the monolithic solver).
-  // A "context" is any SAT solver this engine constructed (frame, lift,
-  // F_inf, monolithic, seed checker — including rebuilds); encode_seconds
-  // is the wall-clock spent constructing them (Tseitin or template
-  // replay) plus template builds this engine performed.
+  // Encode-reuse accounting (cnf/template.h). A "context" is any SAT
+  // solver this engine constructed (frame, lift, seed checker — including
+  // rebuilds), each a template replay; encode_seconds is the wall-clock
+  // spent constructing them plus template builds this engine performed.
   std::uint64_t solver_contexts_created = 0;
   std::uint64_t peak_live_solvers = 0;
   std::uint64_t template_builds = 0;          // encoded from scratch
@@ -185,7 +182,8 @@ struct Ic3Stats {
   std::uint64_t sat_propagations = 0;
   std::uint64_t sat_conflicts = 0;
   std::uint64_t sat_decisions = 0;
-  // Preprocessing totals (zero unless Ic3Options::simplify).
+  // Preprocessing totals of the templates this engine built (zero unless
+  // Ic3Options::simplify).
   std::uint64_t simp_vars_eliminated = 0;
   std::uint64_t simp_clauses_in = 0;
   std::uint64_t simp_clauses_out = 0;
@@ -305,59 +303,47 @@ class Ic3 {
   };
 
   // --- solver contexts ---
-  // Level addressing F_inf in the dispatchers below.
+  // Level addressing F_inf in the queries below.
   static constexpr int kLevelInf = MonolithicFrameSolver::kFrameInf;
 
-  // Backend dispatch (per-frame FrameSolver vector vs one monolithic
-  // activation-literal solver). All engine logic goes through these;
-  // only construction/rebuild code touches a backend directly.
+  // All engine logic goes through these; only construction and rebuild
+  // code touches a context directly.
   sat::SolveResult consecution(int k, const ts::Cube& cube,
                                bool add_negation,
                                std::vector<std::size_t>* core);
   sat::SolveResult bad_query(int k);
-  // Model extraction for the last Sat query at frame k. Never triggers a
+  // Model extraction for the last Sat frame query. Never triggers a
   // rebuild (the model must survive the query that produced it).
-  std::vector<bool> model_state(int k) const;
-  std::vector<bool> model_inputs(int k) const;
+  std::vector<bool> model_state() const { return mono_->model_state(); }
+  std::vector<bool> model_inputs() const { return mono_->model_inputs(); }
   ts::Cube lift_predecessor(const std::vector<bool>& state,
                             const std::vector<bool>& inputs,
                             const ts::Cube& target, bool respect_assumed);
   ts::Cube lift_bad(const std::vector<bool>& state,
                     const std::vector<bool>& inputs);
-  // Adds ¬cube at delta levels from_level..level (per-frame: one clause
-  // per solver in that range; monolithic: one clause tagged `level`).
-  // level == kLevelInf adds it permanently everywhere.
-  void solver_add_blocking(const ts::Cube& cube, int level, int from_level);
 
-  bool monolithic() const {
-    return opts_.solver_mode == Ic3SolverMode::Monolithic;
-  }
-  FrameSolver& ctx(int k);   // per-frame backend only
-  // Lifting context, used by BOTH backends: lift queries need a context
-  // free of blocking clauses (see the MonolithicFrameSolver header note),
-  // so even the monolithic engine keeps this one companion solver.
+  // Lifting context: lift queries need a context free of blocking clauses
+  // (see the MonolithicFrameSolver header note), so the engine keeps this
+  // one companion solver beside its frame context.
   FrameSolver& lift_ctx();
-  FrameSolver& inf_ctx();    // per-frame backend only
-  MonolithicFrameSolver& mono();  // monolithic backend only
+  // The frame context, created on first use and rebuilt once its retired
+  // activations pass the threshold.
+  MonolithicFrameSolver& mono();
   // (Re)creates mono_ with `frames` frames and replays the F_inf and
   // delta-frame clause lists into it.
   void install_mono(int frames);
-  StepContext::Config base_config(bool init_units);
-  std::unique_ptr<FrameSolver> make_solver(int k,
-                                           bool constraint_units = true);
-  // Throwaway context for the seed fixpoint rounds (template-backed when
-  // templates are on, so the fixpoint iterations stay cheap).
-  std::unique_ptr<FrameSolver> make_checker();
-  void rebuild_mono();
+  StepContext::Config base_config();
+  // A frame-free context: the lift companion (no constraint units) or a
+  // throwaway seed checker for the fixpoint rounds.
+  std::unique_ptr<FrameSolver> make_solver(bool constraint_units);
   // The engine's transition-relation template: fetched from the shared
-  // cache (or a private one) on first use; null when templates are off.
+  // cache (or a private one) on first use.
   const cnf::CnfTemplate* acquire_template();
   // Folds construction cost/counters of a just-created context into
   // stats_. `extra_live` covers contexts not (yet) stored in a member —
   // a solver still in the caller's hands or a throwaway seed checker —
   // so peak_live_solvers counts every simultaneously-live context.
-  void note_context_created(double seconds, bool templated,
-                            std::uint64_t extra_live);
+  void note_context_created(double seconds, std::uint64_t extra_live);
   void ensure_frame(int k);
 
   // --- blocking ---
@@ -473,7 +459,7 @@ class Ic3 {
   std::uint64_t total_conflicts() const;
 
   // --- statistics ---
-  // Folds a retiring solver context's SAT/simp counters into stats_.
+  // Folds a retiring solver context's SAT counters into stats_.
   void absorb_stats(const StepContext& fs);
   // stats_ plus the counters of the still-live solver contexts; pure, so
   // every slice can report cumulative totals.
@@ -490,20 +476,12 @@ class Ic3 {
   std::uint64_t slice_conflict_limit_ = 0;  // absolute; 0 = unlimited
   Phase phase_ = Phase::StartUp;
   CheckStatus final_status_ = CheckStatus::Unknown;
-  // One simplification of the transition relation serves every frame
-  // context this run creates (they encode identically). Direct-encode
-  // (template-off) path only.
-  mutable sat::simp::BatchCache simp_cache_;
   // Encode-once transition relation shared by every context this engine
   // creates; from opts_.template_cache or the private own_cache_.
   std::shared_ptr<const cnf::CnfTemplate> tmpl_;
   std::unique_ptr<cnf::TemplateCache> own_cache_;
 
-  // Per-frame backend state (solver_mode == PerFrame).
-  std::vector<std::unique_ptr<FrameSolver>> solvers_;
   std::unique_ptr<FrameSolver> lift_solver_;
-  std::unique_ptr<FrameSolver> inf_solver_;
-  // Monolithic backend state (solver_mode == Monolithic).
   std::unique_ptr<MonolithicFrameSolver> mono_;
   std::vector<std::vector<ts::Cube>> frame_cubes_;  // delta encoding
   std::vector<ts::Cube> inf_cubes_;  // F_inf: seeds + globally inductive
@@ -550,7 +528,6 @@ class Ic3 {
   obs::LatencyHisto* prof_seed_validate_ = nullptr;
   obs::LatencyHisto* prof_mine_sim_ = nullptr;
   obs::LatencyHisto* prof_replay_ = nullptr;
-  obs::LatencyHisto* prof_encode_ = nullptr;
 };
 
 }  // namespace javer::ic3

@@ -2,7 +2,9 @@
 // Before the scheduler refactor these fields were copy-pasted across
 // SeparateOptions / JaOptions / JointOptions / ParallelJaOptions; the
 // legacy option structs now inherit this one, so existing field accesses
-// keep compiling while the scheduler consumes one uniform type.
+// keep compiling while the scheduler consumes one uniform type. IC3 has
+// one solver topology and one encoding path, so the two ic3_* selectors
+// below are inert.
 #ifndef JAVER_MP_SCHED_ENGINE_OPTIONS_H
 #define JAVER_MP_SCHED_ENGINE_OPTIONS_H
 
@@ -11,8 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "ic3/solver_mode.h"
 #include "mp/simfilter/options.h"
+
+namespace javer::ic3 {
+// IC3's one solver topology (ic3/frames.h): the type of the inert
+// EngineOptions::ic3_solver below.
+enum class Ic3SolverMode : std::uint8_t { Monolithic };
+}  // namespace javer::ic3
 
 namespace javer::obs {
 class Tracer;
@@ -26,16 +33,11 @@ namespace javer::mp::sched {
 struct EngineOptions {
   // Accumulate/seed strengthening clauses through a ClauseDb (§6-B/§7-B).
   bool clause_reuse = true;
-  // IC3 solver topology: one activation-literal solver for every frame
-  // (default) vs the classic one-context-per-frame vector.
+  // Inert: IC3 has one solver topology and every context replays a
+  // cnf::CnfTemplate. Both fields stay declared only because the
+  // javerbench driver still assigns them; nothing reads them.
   ic3::Ic3SolverMode ic3_solver = ic3::Ic3SolverMode::Monolithic;
-  // Encode each transition relation once into a cnf::CnfTemplate and
-  // replay it into every SAT context (frames, rebuilds, sibling tasks
-  // with the same assumed set) instead of re-running the Tseitin encoder.
   bool ic3_use_template = true;
-  // Rebuild a frame context once this many activation literals retired
-  // (garbage accumulates in the solver until then).
-  int ic3_rebuild_threshold = 500;
   // Warm-start persistence (src/persist): directory for the on-disk cache
   // of CNF templates and shard ClauseDb snapshots, keyed by design
   // fingerprint. Empty = no persistence. A re-run of an unchanged design
@@ -47,19 +49,11 @@ struct EngineOptions {
   // §7-A: lifting respects the assumed-property constraints from the
   // start (no spurious local CEXs) instead of the detect-and-retry loop.
   bool lifting_respects_constraints = false;
-  // Preprocess each SAT context's transition-relation CNF (sat/simp/).
+  // Simplify each IC3 template and BMC unrolling frame (sat/simp/).
   bool simplify = false;
   double time_limit_per_property = 0.0;  // seconds; 0 = unlimited
   double total_time_limit = 0.0;         // seconds; 0 = unlimited
   std::uint64_t conflict_budget_per_query = 0;
-  // Adaptive slice sizing (ROADMAP): each budgeted slice is scaled by a
-  // per-task multiplier — doubled (up to slice_scale_max) when the slice
-  // advanced the engine's frame counter, halved (down to slice_scale_min)
-  // when it added no clauses at all. Unbudgeted (run-to-completion)
-  // slices are unaffected.
-  bool adaptive_slicing = true;
-  double slice_scale_min = 0.25;
-  double slice_scale_max = 4.0;
   // Verification order (property indices); empty = design order, the
   // paper's default ("properties are verified in the order they are
   // given").
@@ -88,12 +82,6 @@ struct EngineOptions {
   // Phase profiler (obs/profile.h): per-(phase, shard, property) latency
   // histograms for SAT queries and engine phases; --profile-out.
   obs::PhaseProfiler* profiler = nullptr;
-  // Test hook (tests/test_monitor.cpp): the PropertyTask for this
-  // property index busy-waits this long before its *first* slice does
-  // any engine work, without publishing activity — a deterministic
-  // stalled task for the watchdog/preemption tests. SIZE_MAX = off.
-  std::size_t debug_stall_prop = static_cast<std::size_t>(-1);
-  double debug_stall_seconds = 0.0;
   // Deterministic fault injection (src/fault): a --fault-inject spec the
   // task-based schedulers parse into the run's FaultPlan and install for
   // the run's duration. Empty = no injection (the default; every

@@ -14,6 +14,11 @@ namespace javer::mp::sched {
 
 namespace {
 
+// Adaptive slice sizing bounds: the multiplier a budgeted slice is scaled
+// by stays within [kSliceScaleMin, kSliceScaleMax].
+constexpr double kSliceScaleMin = 0.25;
+constexpr double kSliceScaleMax = 4.0;
+
 obs::ProgressState to_progress(TaskState s) {
   switch (s) {
     case TaskState::Pending: return obs::ProgressState::kPending;
@@ -46,24 +51,23 @@ std::vector<std::size_t> local_assumptions(const ts::TransitionSystem& ts,
   return assumed;
 }
 
-double next_slice_scale(const EngineOptions& opts, double scale, bool budgeted,
-                        const ic3::Ic3Result& er, int frames_before,
-                        std::uint64_t clauses_before,
+double next_slice_scale(double scale, bool budgeted, const ic3::Ic3Result& er,
+                        int frames_before, std::uint64_t clauses_before,
                         std::uint64_t obligations_before) {
-  if (!budgeted || !opts.adaptive_slicing) return scale;
+  if (!budgeted) return scale;
   // Only a suspended slice sizes the next one: terminal verdicts have no
   // next slice, and a non-resumable slice's counters reflect a hard stop,
   // not slice-shaped progress.
   if (er.status != CheckStatus::Unknown || !er.resumable) return scale;
   if (er.frames > frames_before) {
-    return std::min(scale * 2.0, opts.slice_scale_max);
+    return std::min(scale * 2.0, kSliceScaleMax);
   }
   // Stalled = no clause landed AND no obligation was processed. A slice
   // that popped obligations but suspended mid-generalization is making
   // progress the clause counter has not seen yet.
   if (er.stats.clauses_added == clauses_before &&
       er.stats.obligations == obligations_before) {
-    return std::max(scale / 2.0, opts.slice_scale_min);
+    return std::max(scale / 2.0, kSliceScaleMin);
   }
   return scale;
 }
@@ -73,24 +77,19 @@ ic3::Ic3Options make_ic3_options(const EngineOptions& engine, int shard,
   ic3::Ic3Options opts;
   opts.lifting_respects_constraints = engine.lifting_respects_constraints;
   opts.simplify = engine.simplify;
-  opts.solver_mode = engine.ic3_solver;
-  opts.use_template = engine.ic3_use_template;
-  opts.rebuild_threshold = engine.ic3_rebuild_threshold;
   opts.conflict_budget_per_query = engine.conflict_budget_per_query;
   opts.trace = obs::TraceSink(engine.tracer, shard, prop);
   opts.profile = obs::ProfileSink(engine.profiler, shard, prop);
   return opts;
 }
 
-int num_ladder_rungs() { return 4; }
+int num_ladder_rungs() { return 2; }
 
 const char* rung_name(int rung) {
   switch (rung) {
     case 0: return "default";
-    case 1: return "per-frame";
-    case 2: return "direct-tseitin";
-    case 3: return "simplify-off";
-    case 4: return "isolated";
+    case 1: return "simplify-off";
+    case 2: return "isolated";
   }
   return "?";
 }
@@ -98,10 +97,8 @@ const char* rung_name(int rung) {
 EngineOptions degrade_for_rung(EngineOptions opts, int rung) {
   // Cumulative: rung N keeps every downgrade of rung N-1, so re-applying
   // the ladder to already-degraded options is idempotent.
-  if (rung >= 1) opts.ic3_solver = ic3::Ic3SolverMode::PerFrame;
-  if (rung >= 2) opts.ic3_use_template = false;
-  if (rung >= 3) opts.simplify = false;
-  if (rung >= 4) {
+  if (rung >= 1) opts.simplify = false;
+  if (rung >= 2) {
     opts.clause_reuse = false;
     opts.sim_filter.mode = simfilter::SimFilterMode::Off;
   }
@@ -148,7 +145,7 @@ void PropertyTask::ensure_engine(ClauseDb* db) {
   if (engine_opts_.clause_reuse && db != nullptr && !seeds_) {
     seeds_ = db->shared_snapshot();
   }
-  // The rung-4 ("isolated") retry config keeps the snapshot around but
+  // The last ("isolated") retry config keeps the snapshot around but
   // stops feeding it: a poisoned seed set must not follow the task up
   // the ladder.
   if (seeds_ && engine_opts_.clause_reuse) {
@@ -355,20 +352,11 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
     state_ = TaskState::Running;
     publish_state();
   }
-  if (prop_ == engine_opts_.debug_stall_prop && slice_index == 0 &&
-      engine_opts_.debug_stall_seconds > 0) {
-    // Watchdog test hook: burn wall-clock before the engine's first poll
-    // without publishing any activity, so the monitor observes a Running
-    // cell whose heartbeat age keeps growing.
-    Timer stall_timer;
-    while (stall_timer.seconds() < engine_opts_.debug_stall_seconds) {
-      if (progress_ != nullptr && progress_->preempt_requested()) break;
-    }
-  }
-  // Injected stall (fault plan site "task.stall"): same busy-wait shape
-  // as the debug hook — no activity published, so the watchdog sees a
-  // genuinely wedged slice — and the same preempt escape hatch, so
-  // --watchdog-preempt can still cut it short.
+  // Injected stall (fault plan site "task.stall"): burn wall-clock before
+  // the engine's first poll without publishing any activity, so the
+  // watchdog sees a genuinely wedged slice whose heartbeat age keeps
+  // growing; a preempt request is the escape hatch, so --watchdog-preempt
+  // can still cut it short.
   if (double stall = fault::inject_stall("task.stall"); stall > 0) {
     Timer stall_timer;
     while (stall_timer.seconds() < stall) {
@@ -391,7 +379,7 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   slice.time_slice_seconds = budget.seconds;
   slice.conflict_slice = budget.conflicts;
   const bool budgeted = budget.seconds > 0 || budget.conflicts > 0;
-  if (budgeted && engine_opts_.adaptive_slicing) {
+  if (budgeted) {
     if (slice.time_slice_seconds > 0) slice.time_slice_seconds *= slice_scale_;
     if (slice.conflict_slice > 0) {
       slice.conflict_slice = std::max<std::uint64_t>(
@@ -446,9 +434,8 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
 
   // Adaptive slice sizing: frames advanced => the slice is paying off,
   // grow it; a slice that did nothing measurable is stalled, shrink.
-  slice_scale_ =
-      next_slice_scale(engine_opts_, slice_scale_, budgeted, er,
-                       frames_before, clauses_before, obligations_before);
+  slice_scale_ = next_slice_scale(slice_scale_, budgeted, er, frames_before,
+                                  clauses_before, obligations_before);
   result_.slice_scale = slice_scale_;
   if (progress_ != nullptr) progress_->set_slice_scale(slice_scale_);
 

@@ -77,23 +77,23 @@ struct TaskBudget {
   std::uint64_t conflicts = 0;
 };
 
-// The adaptive slice-sizing decision (EngineOptions::adaptive_slicing),
-// pure so tests can pin its transitions. Returns the multiplier for the
-// *next* budgeted slice given what this slice achieved:
+// The adaptive slice-sizing decision, pure so tests can pin its
+// transitions. Every budgeted slice is scaled by a per-task multiplier;
+// unbudgeted (run-to-completion) slices are not. Returns the multiplier
+// for the *next* budgeted slice given what this slice achieved:
 //  * only budgeted slices that suspended (Unknown + resumable) adjust the
 //    scale — terminal and non-resumable slices have no next slice to
 //    size, so their (often partial) counters must not be classified;
-//  * frame progress doubles the scale (up to slice_scale_max);
+//  * frame progress doubles the scale (up to 4);
 //  * a slice that neither added a clause nor processed an obligation is
-//    genuinely stalled and halves it (down to slice_scale_min). A slice
+//    genuinely stalled and halves it (down to 1/4). A slice
 //    that popped obligations but suspended mid-generalization is slow
 //    progress, not a stall: shrinking it would only make the next slice
 //    less likely to finish the same generalization.
 // The *_before baselines must come from the same engine that produced
 // `er` (PropertyTask resets them when it discards an engine).
-double next_slice_scale(const EngineOptions& opts, double scale, bool budgeted,
-                        const ic3::Ic3Result& er, int frames_before,
-                        std::uint64_t clauses_before,
+double next_slice_scale(double scale, bool budgeted, const ic3::Ic3Result& er,
+                        int frames_before, std::uint64_t clauses_before,
                         std::uint64_t obligations_before);
 
 // The IC3 configuration every scheduler engine starts from: the shared
@@ -109,10 +109,8 @@ ic3::Ic3Options make_ic3_options(const EngineOptions& engine, int shard,
 // fault) is retried with a fresh engine under a progressively *safer*
 // config. The rungs are cumulative — each keeps every downgrade below it:
 //   0  default        the configured options, untouched
-//   1  per-frame      monolithic solver -> classic one-context-per-frame
-//   2  direct-tseitin CNF template replay -> direct Tseitin encoding
-//   3  simplify-off   no SAT preprocessing pass
-//   4  isolated       no clause-reuse seeds, lemma exchange and shared
+//   1  simplify-off   no SAT preprocessing pass
+//   2  isolated       no clause-reuse seeds, lemma exchange and shared
 //                     prelude detached, sim-prefilter off: the engine
 //                     runs from first principles with nothing shared
 // Pure helpers so tests can pin the rung order and contents.
@@ -263,7 +261,7 @@ class PropertyTask {
   std::shared_ptr<const std::vector<ts::Cube>> seeds_;
   double engine_seconds_ = 0.0;  // this engine's accumulated slice time
   // Adaptive slice sizing: multiplier applied to budgeted slices, driven
-  // by per-slice progress (see EngineOptions::adaptive_slicing).
+  // by per-slice progress (see next_slice_scale).
   double slice_scale_ = 1.0;
   // Progress baselines of the *current* engine at the end of its previous
   // slice. Kept separately from result_.engine_stats, which survives a

@@ -71,7 +71,7 @@ void run_aggregate(const ts::TransitionSystem& ts,
     auto [agg_aig, agg_index] = make_aggregate(ts.aig(), unsolved);
     ts::TransitionSystem agg_ts(agg_aig);
     // No shared cache: each iteration checks a fresh aggregate TS, but the
-    // engine's private template still collapses its per-frame encodings.
+    // engine's private template still serves all of its contexts.
     ic3::Ic3Options engine_opts = make_ic3_options(opts.engine, -1, -1);
     engine_opts.time_limit_seconds = remaining;
     engine_opts.progress = engine_cell;

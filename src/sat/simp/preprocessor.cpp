@@ -24,44 +24,10 @@ bool Preprocessor::add_clause(std::span<const Lit> lits) {
   return solver_.ok();
 }
 
-std::uint64_t Preprocessor::batch_key() const {
-  // FNV-1a over everything that determines the simplification result.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(solver_.num_vars()));
-  mix(static_cast<std::uint64_t>(batch_floor_));
-  for (Var v = 0; v < static_cast<Var>(frozen_.size()); ++v) {
-    if (frozen_[v]) mix(static_cast<std::uint64_t>(v) | (1ULL << 40));
-  }
-  for (const auto& clause : buffer_) {
-    mix(clause.size() | (1ULL << 41));
-    for (Lit l : clause) mix(static_cast<std::uint64_t>(l.code()));
-  }
-  return h;
-}
-
 bool Preprocessor::flush() {
   if (!enabled_ || buffer_.empty()) {
     batch_floor_ = solver_.num_vars();
     return solver_.ok();
-  }
-
-  if (cache_ != nullptr) {
-    std::uint64_t key = batch_key();
-    if (cache_->valid && cache_->key == key) {
-      buffer_.clear();
-      for (const auto& clause : cache_->clauses) {
-        if (!solver_.add_clause(clause)) break;
-      }
-      for (Var v : cache_->eliminated) solver_.set_decision_var(v, false);
-      stats_.accumulate(cache_->stats);
-      batch_floor_ = solver_.num_vars();
-      return solver_.ok();
-    }
-    cache_->valid = false;
-    cache_->key = key;
   }
 
   Cnf batch;
@@ -90,12 +56,6 @@ bool Preprocessor::flush() {
     solver_.set_decision_var(v, false);
   }
   stats_.accumulate(simp.stats());
-  if (cache_ != nullptr) {
-    cache_->clauses = batch.clauses;
-    cache_->eliminated = simp.eliminated_vars();
-    cache_->stats = simp.stats();
-    cache_->valid = true;
-  }
   batch_floor_ = solver_.num_vars();
   return solver_.ok();
 }

@@ -2,11 +2,11 @@
 // Solver and simplifies each batch (subsumption, self-subsuming
 // resolution, bounded variable elimination) before committing it.
 //
-// This is how the incremental engines (IC3 frame contexts, BMC unrolling)
-// get SatELite-style preprocessing without giving up incrementality: a
-// batch is one self-contained encoding step (one transition-relation
-// context, one unrolling frame), its interface literals are frozen, and
-// only variables born inside the batch are eliminated.
+// This is how an incremental engine (BMC unrolling) gets SatELite-style
+// preprocessing without giving up incrementality: a batch is one
+// self-contained encoding step (one unrolling frame), its interface
+// literals are frozen, and only variables born inside the batch are
+// eliminated.
 //
 // Contract for callers:
 //   * freeze() every literal that is referenced after flush() — as an
@@ -30,19 +30,6 @@
 
 namespace javer::sat::simp {
 
-// Memoized result of one flushed batch. IC3 builds one solver context per
-// frame, and every context encodes the *same* transition relation with the
-// same deterministic variable numbering — so one simplification serves
-// them all. The key is a hash of the exact batch (variables, floor, frozen
-// set, clauses); a mismatch simply falls back to simplifying.
-struct BatchCache {
-  bool valid = false;
-  std::uint64_t key = 0;
-  std::vector<std::vector<Lit>> clauses;  // simplified output
-  std::vector<Var> eliminated;
-  SimpStats stats;
-};
-
 class Preprocessor : public ClauseSink {
  public:
   explicit Preprocessor(Solver& solver, bool enabled = false,
@@ -61,10 +48,6 @@ class Preprocessor : public ClauseSink {
   void freeze(Var v);
   void freeze(Lit l) { freeze(l.var()); }
 
-  // Optional cross-context memoization of flushed batches. The cache must
-  // not be shared across threads.
-  void set_cache(BatchCache* cache) { cache_ = cache; }
-
   // Simplifies the buffered batch against the frozen set and loads the
   // result into the solver. Returns false if the solver became
   // unsatisfiable. No-op when disabled or the buffer is empty.
@@ -74,15 +57,12 @@ class Preprocessor : public ClauseSink {
   const SimpStats& stats() const { return stats_; }
 
  private:
-  std::uint64_t batch_key() const;
-
   Solver& solver_;
   bool enabled_;
   SimplifyConfig cfg_;
   std::vector<std::vector<Lit>> buffer_;
   std::vector<std::uint8_t> frozen_;
   Var batch_floor_ = 0;  // variables below this predate the current batch
-  BatchCache* cache_ = nullptr;
   SimpStats stats_;
 };
 

@@ -123,8 +123,6 @@ long long holding_property_needing_consecution(
     }
     opts.lifting_respects_constraints = isolated.lifting_respects_constraints;
     opts.simplify = isolated.simplify;
-    opts.solver_mode = isolated.ic3_solver;
-    opts.use_template = isolated.ic3_use_template;
     ic3::Ic3PreludeMemo memo(std::make_shared<const std::vector<ts::Cube>>());
     ic3::Ic3Options shared = opts;
     shared.prelude_memo = &memo;
@@ -286,43 +284,30 @@ TEST(ScopedInjection, FirstInstallWinsAndUninstallsOnExit) {
 
 TEST(DegradeLadder, RungOrderIsPinned) {
   using mp::sched::degrade_for_rung;
-  ASSERT_EQ(mp::sched::num_ladder_rungs(), 4);
+  ASSERT_EQ(mp::sched::num_ladder_rungs(), 2);
   EXPECT_STREQ(mp::sched::rung_name(0), "default");
-  EXPECT_STREQ(mp::sched::rung_name(1), "per-frame");
-  EXPECT_STREQ(mp::sched::rung_name(2), "direct-tseitin");
-  EXPECT_STREQ(mp::sched::rung_name(3), "simplify-off");
-  EXPECT_STREQ(mp::sched::rung_name(4), "isolated");
+  EXPECT_STREQ(mp::sched::rung_name(1), "simplify-off");
+  EXPECT_STREQ(mp::sched::rung_name(2), "isolated");
 
   mp::sched::EngineOptions base;
-  base.ic3_solver = ic3::Ic3SolverMode::Monolithic;
-  base.ic3_use_template = true;
   base.simplify = true;
   base.clause_reuse = true;
   base.sim_filter.mode = mp::simfilter::SimFilterMode::Full;
 
   mp::sched::EngineOptions r1 = degrade_for_rung(base, 1);
-  EXPECT_EQ(r1.ic3_solver, ic3::Ic3SolverMode::PerFrame);
-  EXPECT_TRUE(r1.ic3_use_template);  // rung 1 only swaps the solver mode
+  EXPECT_FALSE(r1.simplify);
+  EXPECT_TRUE(r1.clause_reuse);
+  EXPECT_EQ(r1.sim_filter.mode, mp::simfilter::SimFilterMode::Full);
 
   mp::sched::EngineOptions r2 = degrade_for_rung(base, 2);
-  EXPECT_EQ(r2.ic3_solver, ic3::Ic3SolverMode::PerFrame);  // cumulative
-  EXPECT_FALSE(r2.ic3_use_template);
-  EXPECT_TRUE(r2.simplify);
-
-  mp::sched::EngineOptions r3 = degrade_for_rung(base, 3);
-  EXPECT_FALSE(r3.ic3_use_template);
-  EXPECT_FALSE(r3.simplify);
-  EXPECT_TRUE(r3.clause_reuse);
-
-  mp::sched::EngineOptions r4 = degrade_for_rung(base, 4);
-  EXPECT_FALSE(r4.simplify);
-  EXPECT_FALSE(r4.clause_reuse);
-  EXPECT_EQ(r4.sim_filter.mode, mp::simfilter::SimFilterMode::Off);
+  EXPECT_FALSE(r2.simplify);  // cumulative
+  EXPECT_FALSE(r2.clause_reuse);
+  EXPECT_EQ(r2.sim_filter.mode, mp::simfilter::SimFilterMode::Off);
 
   // Degrading an already-degraded config is idempotent.
-  mp::sched::EngineOptions twice = degrade_for_rung(r4, 4);
-  EXPECT_EQ(twice.ic3_solver, r4.ic3_solver);
-  EXPECT_EQ(twice.clause_reuse, r4.clause_reuse);
+  mp::sched::EngineOptions twice = degrade_for_rung(r2, 2);
+  EXPECT_EQ(twice.simplify, r2.simplify);
+  EXPECT_EQ(twice.clause_reuse, r2.clause_reuse);
 }
 
 // --- worker-pool isolation ---------------------------------------------------
@@ -408,11 +393,12 @@ TEST(FaultRecovery, PersistentFaultClimbsEveryRungThenClosesUnknown) {
   const mp::PropertyResult& pr = faulty.per_property[target];
   EXPECT_EQ(pr.verdict, mp::PropertyVerdict::Unknown);
   EXPECT_EQ(pr.retries, 4);
-  EXPECT_EQ(pr.final_rung, 4);
-  // One failure per rung, in the pinned ladder order.
+  EXPECT_EQ(pr.final_rung, 2);
+  // One failure per attempt: every rung in the pinned ladder order, then
+  // the last rung again until the retries run out.
   ASSERT_EQ(pr.failure_chain.size(), 5u);
-  const char* rungs[] = {"default: ", "per-frame: ", "direct-tseitin: ",
-                         "simplify-off: ", "isolated: "};
+  const char* rungs[] = {"default: ", "simplify-off: ", "isolated: ",
+                         "isolated: ", "isolated: "};
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(pr.failure_chain[i].rfind(rungs[i], 0), 0u)
         << i << ": " << pr.failure_chain[i];

@@ -1,10 +1,15 @@
-// FrameSolver unit tests: the SAT-query layer beneath IC3 — bad-state
-// queries, consecution with/without path constraints, core extraction,
-// and the two lifting modes with their universal-cube guarantees.
+// Step-context unit tests: the SAT-query layer beneath IC3, every context
+// a replay of one cnf::CnfTemplate — bad-state queries, consecution
+// with/without path constraints, core extraction, and the two lifting
+// modes with their universal-cube guarantees.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
 
 #include "aig/builder.h"
 #include "aig/sim.h"
+#include "cnf/template.h"
 #include "ic3/frames.h"
 
 namespace javer::ic3 {
@@ -19,12 +24,14 @@ struct CounterFrames {
     aig.add_property(~b.eq_const(cnt, 5), "ne5");
     aig.add_property(~b.eq_const(cnt, 2), "ne2");
     ts = std::make_unique<ts::TransitionSystem>(aig);
+    tmpl = std::make_unique<cnf::CnfTemplate>(
+        *ts, cnf::CnfTemplate::Spec{{0, 1}, false});
   }
-  FrameSolver::Config config(bool with_assumed, bool init_units) {
-    FrameSolver::Config c;
+  StepContext::Config config(bool with_assumed) {
+    StepContext::Config c;
     c.target_prop = 0;
     if (with_assumed) c.assumed = {1};
-    c.init_units = init_units;
+    c.tmpl = tmpl.get();
     return c;
   }
   static ts::Cube state_cube(int value) {
@@ -37,30 +44,38 @@ struct CounterFrames {
   aig::Aig aig;
   aig::Word cnt;
   std::unique_ptr<ts::TransitionSystem> ts;
+  std::unique_ptr<cnf::CnfTemplate> tmpl;
 };
 
-TEST(FrameSolver, BadQueryFindsViolation) {
+TEST(StepContext, RequiresATemplate) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
-  // No frame clauses: some state with cnt==5 violates P0.
-  ASSERT_EQ(fs.query_bad(), sat::SolveResult::Sat);
+  StepContext::Config c = fx.config(false);
+  c.tmpl = nullptr;
+  EXPECT_THROW(FrameSolver fs(*fx.ts, c), std::invalid_argument);
+}
+
+TEST(MonolithicFrameSolver, BadQueryFindsViolation) {
+  CounterFrames fx;
+  MonolithicFrameSolver fs(*fx.ts, fx.config(false));
+  // No frame clauses at frame 1: some state with cnt==5 violates P0.
+  ASSERT_EQ(fs.query_bad(1), sat::SolveResult::Sat);
   auto state = fs.model_state();
   int v = state[0] + 2 * state[1] + 4 * state[2];
   EXPECT_EQ(v, 5);
 }
 
-TEST(FrameSolver, BadQueryUnsatAtInit) {
+TEST(MonolithicFrameSolver, BadQueryUnsatAtInit) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, /*init_units=*/true));
-  // The initial state is cnt==0, which satisfies P0.
-  EXPECT_EQ(fs.query_bad(), sat::SolveResult::Unsat);
+  MonolithicFrameSolver fs(*fx.ts, fx.config(false));
+  // Frame 0 is the initial state cnt==0, which satisfies P0.
+  EXPECT_EQ(fs.query_bad(0), sat::SolveResult::Unsat);
 }
 
-TEST(FrameSolver, BlockingClauseRemovesBadState) {
+TEST(MonolithicFrameSolver, BlockingClauseRemovesBadState) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
-  fs.add_blocking_clause(CounterFrames::state_cube(5));
-  EXPECT_EQ(fs.query_bad(), sat::SolveResult::Unsat);
+  MonolithicFrameSolver fs(*fx.ts, fx.config(false));
+  fs.add_blocking_clause(CounterFrames::state_cube(5), 1);
+  EXPECT_EQ(fs.query_bad(1), sat::SolveResult::Unsat);
 }
 
 TEST(FrameSolver, ConsecutionUsesPathConstraints) {
@@ -70,12 +85,12 @@ TEST(FrameSolver, ConsecutionUsesPathConstraints) {
   // the assumption, SAT without.
   ts::Cube three = CounterFrames::state_cube(3);
   {
-    FrameSolver with(*fx.ts, fx.config(/*with_assumed=*/true, false));
+    FrameSolver with(*fx.ts, fx.config(/*with_assumed=*/true));
     EXPECT_EQ(with.query_consecution(three, true, nullptr),
               sat::SolveResult::Unsat);
   }
   {
-    FrameSolver without(*fx.ts, fx.config(/*with_assumed=*/false, false));
+    FrameSolver without(*fx.ts, fx.config(/*with_assumed=*/false));
     EXPECT_EQ(without.query_consecution(three, true, nullptr),
               sat::SolveResult::Sat);
     auto pred = without.model_state();
@@ -89,19 +104,19 @@ TEST(FrameSolver, ConsecutionTargetPropertyOnPresentStep) {
   // Pred of cnt==6 is cnt==5 = ¬P0 itself; the target property is part of
   // the path constraints, so consecution holds even with no assumptions.
   ts::Cube six = CounterFrames::state_cube(6);
-  FrameSolver fs(*fx.ts, fx.config(false, false));
+  FrameSolver fs(*fx.ts, fx.config(false));
   EXPECT_EQ(fs.query_consecution(six, true, nullptr),
             sat::SolveResult::Unsat);
 }
 
-TEST(FrameSolver, ConsecutionCoreIsSufficient) {
+TEST(MonolithicFrameSolver, ConsecutionCoreIsSufficient) {
   CounterFrames fx;
   // From init (cnt==0) the successor is cnt==1; target cube cnt==4 cannot
   // be hit, and a core over the next-state literals must exist.
   ts::Cube four = CounterFrames::state_cube(4);
-  FrameSolver fs(*fx.ts, fx.config(false, /*init_units=*/true));
+  MonolithicFrameSolver fs(*fx.ts, fx.config(false));
   std::vector<std::size_t> core;
-  ASSERT_EQ(fs.query_consecution(four, true, &core),
+  ASSERT_EQ(fs.query_consecution(0, four, true, &core),
             sat::SolveResult::Unsat);
   ASSERT_FALSE(core.empty());
   for (std::size_t idx : core) EXPECT_LT(idx, four.size());
@@ -109,18 +124,18 @@ TEST(FrameSolver, ConsecutionCoreIsSufficient) {
   ts::Cube sub;
   for (std::size_t idx : core) sub.push_back(four[idx]);
   ts::sort_cube(sub);
-  EXPECT_EQ(fs.query_consecution(sub, true, nullptr),
+  EXPECT_EQ(fs.query_consecution(0, sub, true, nullptr),
             sat::SolveResult::Unsat);
 }
 
 TEST(FrameSolver, LiftBadProducesUniversalCube) {
   CounterFrames fx;
-  FrameSolver bad_finder(*fx.ts, fx.config(false, false));
-  ASSERT_EQ(bad_finder.query_bad(), sat::SolveResult::Sat);
+  MonolithicFrameSolver bad_finder(*fx.ts, fx.config(false));
+  ASSERT_EQ(bad_finder.query_bad(1), sat::SolveResult::Sat);
   auto state = bad_finder.model_state();
   auto inputs = bad_finder.model_inputs();
 
-  FrameSolver lifter(*fx.ts, fx.config(false, false));
+  FrameSolver lifter(*fx.ts, fx.config(false));
   ts::Cube cube = lifter.lift_bad(state, inputs);
   EXPECT_FALSE(cube.empty());
   // Universal property: every state in the cube violates P0 under these
@@ -146,10 +161,12 @@ TEST(FrameSolver, LiftPredecessorRespectVsIgnore) {
   aig.add_property(~l, "target");
   aig.add_property(~in, "assumed");
   ts::TransitionSystem ts(aig);
+  const cnf::CnfTemplate tmpl(ts, {{0, 1}, false});
 
   FrameSolver::Config config;
   config.target_prop = 0;
   config.assumed = {1};
+  config.tmpl = &tmpl;
   FrameSolver fs(ts, config);
 
   // Predecessor (l=0, m=1) with input in=1 drives into target cube {l=1}.
@@ -169,7 +186,7 @@ TEST(FrameSolver, LiftPredecessorRespectVsIgnore) {
 
 TEST(FrameSolver, RetiredActivationsAccumulate) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
+  FrameSolver fs(*fx.ts, fx.config(false));
   int before = fs.retired_activations();
   fs.query_consecution(CounterFrames::state_cube(6), true, nullptr);
   fs.query_consecution(CounterFrames::state_cube(7), true, nullptr);

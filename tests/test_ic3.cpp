@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "aig/builder.h"
+#include "cnf/template.h"
 #include "cnf/tseitin.h"
 #include "gen/counter.h"
 #include "ic3/ic3.h"
@@ -241,18 +242,16 @@ TEST(Ic3, LiftedBadCubeKeepsTheConstraintLiterals) {
   aig.add_constraint(~aig.add_and(~c, ~d));
   ts::TransitionSystem ts(aig);
   ASSERT_FALSE(ref::explicit_check(ts).fails_globally(0));
-  for (Ic3SolverMode mode : {Ic3SolverMode::Monolithic,
-                             Ic3SolverMode::PerFrame}) {
-    Ic3Options opts;
-    opts.solver_mode = mode;
-    Ic3 engine(ts, 0, opts);
-    Ic3Result r = engine.run();
-    EXPECT_EQ(r.status, CheckStatus::Holds);
-    testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
-  }
+  Ic3 engine(ts, 0);
+  Ic3Result r = engine.run();
+  EXPECT_EQ(r.status, CheckStatus::Holds);
+  testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
 
   // A context that asserts the constraints as units refuses to lift.
-  FrameSolver with_units(ts, FrameSolver::Config{});
+  const cnf::CnfTemplate tmpl(ts, {{0}, false});
+  FrameSolver::Config config;
+  config.tmpl = &tmpl;
+  FrameSolver with_units(ts, config);
   EXPECT_THROW(with_units.lift_bad({true, true, false}, {false}),
                std::logic_error);
 }
@@ -276,23 +275,18 @@ TEST(Ic3, DeliveredUnitIsRequeriedOnceFinfGrows) {
   ts::TransitionSystem ts(aig);
   const ts::Cube unit_a{ts::StateLit{0, true}};
   const ts::Cube pair_bc{ts::StateLit{1, true}, ts::StateLit{2, true}};
-  for (Ic3SolverMode mode : {Ic3SolverMode::Monolithic,
-                             Ic3SolverMode::PerFrame}) {
-    Ic3Options opts;
-    opts.solver_mode = mode;
-    Ic3 engine(ts, 0, opts);
-    engine.add_lemma_candidates({unit_a, pair_bc, unit_a});
-    Ic3Result r = engine.run();
-    ASSERT_EQ(r.status, CheckStatus::Holds);
-    testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
-    EXPECT_EQ(r.stats.mined_invariants, 0u);
-    EXPECT_EQ(r.stats.lemmas_imported, 2u);
-    EXPECT_EQ(r.stats.lemmas_rejected, 1u);
-    EXPECT_EQ(r.stats.lemmas_settled, 1u);
-    // One mining query on {a}, then one each for {b, c} and the second {a}.
-    EXPECT_EQ(r.stats.consecution_queries, 3u);
-    EXPECT_EQ(engine.inf_lemmas(), (std::vector<ts::Cube>{pair_bc, unit_a}));
-  }
+  Ic3 engine(ts, 0);
+  engine.add_lemma_candidates({unit_a, pair_bc, unit_a});
+  Ic3Result r = engine.run();
+  ASSERT_EQ(r.status, CheckStatus::Holds);
+  testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
+  EXPECT_EQ(r.stats.mined_invariants, 0u);
+  EXPECT_EQ(r.stats.lemmas_imported, 2u);
+  EXPECT_EQ(r.stats.lemmas_rejected, 1u);
+  EXPECT_EQ(r.stats.lemmas_settled, 1u);
+  // One mining query on {a}, then one each for {b, c} and the second {a}.
+  EXPECT_EQ(r.stats.consecution_queries, 3u);
+  EXPECT_EQ(engine.inf_lemmas(), (std::vector<ts::Cube>{pair_bc, unit_a}));
 }
 
 TEST(Ic3, XResetLatchFreeInitialValue) {

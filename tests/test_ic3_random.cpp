@@ -10,6 +10,7 @@
 #include <set>
 
 #include "base/rng.h"
+#include "cnf/template.h"
 #include "gen/random_design.h"
 #include "ic3/frames.h"
 #include "ic3/ic3.h"
@@ -19,6 +20,14 @@
 
 namespace javer::ic3 {
 namespace {
+
+// The template a stand-alone context for `target` under `assumed` replays.
+cnf::CnfTemplate step_template(const ts::TransitionSystem& ts,
+                               std::size_t target,
+                               std::vector<std::size_t> assumed) {
+  assumed.push_back(target);
+  return cnf::CnfTemplate(ts, {std::move(assumed), false});
+}
 
 struct Fixture {
   explicit Fixture(std::uint64_t seed) {
@@ -214,9 +223,11 @@ TEST_P(Ic3RandomTest, MiningSweepSettlesOnlyNonInductiveLiterals) {
 
       // Every settled literal's F_inf consecution query answers Sat, with
       // F_inf empty and, for a proof, with F_inf = the whole invariant.
+      const cnf::CnfTemplate tmpl = step_template(ts, p, assumed);
       FrameSolver::Config config;
       config.target_prop = p;
       config.assumed = assumed;
+      config.tmpl = &tmpl;
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
         if (!settled[ci]) continue;
         const ts::Cube c{candidates[ci]};
@@ -316,9 +327,11 @@ void check_delivered_units(std::uint64_t seed, std::size_t latches,
       opts.assumed = assumed;
       opts.lifting_respects_constraints = true;
       Ic3 engine(ts, p, opts);
+      const cnf::CnfTemplate tmpl = step_template(ts, p, assumed);
       FrameSolver::Config config;
       config.target_prop = p;
       config.assumed = assumed;
+      config.tmpl = &tmpl;
 
       // Conflict slices never suspend inside the absorb loop, so each
       // batch is absorbed whole at the start of one slice, right after

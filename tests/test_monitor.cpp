@@ -3,7 +3,7 @@
 // preemption handshake, the rendered report lines, and the end-to-end
 // acceptance criteria — a task or aggregate (joint) run's final board
 // totals match the report verdict counts, an artificially stalled task (the
-// EngineOptions::debug_stall_* hook) triggers exactly one watchdog/stall
+// fault plan's task.stall site) triggers exactly one watchdog/stall
 // instant, and with preemption on the stalled task is softly suspended,
 // resumed, and still produces its certified verdict.
 #include <gtest/gtest.h>
@@ -421,8 +421,7 @@ TEST(MonitorEndToEnd, InjectedStallTriggersExactlyOneWatchdogInstant) {
   so.proof_mode = mp::sched::ProofMode::Local;
   so.dispatch = mp::sched::DispatchPolicy::RunToCompletion;
   so.engine.progress = &board;
-  so.engine.debug_stall_prop = 0;
-  so.engine.debug_stall_seconds = 0.75;
+  so.engine.fault_plan = "task.stall:prop=0,stall=0.75";
   mp::sched::Scheduler sched(ts, so);
 
   // The scheduler runs in a worker; the test thread *is* the monitor,
@@ -478,11 +477,10 @@ TEST(MonitorEndToEnd, PreemptedStalledTaskResumesWithCertifiedVerdict) {
   so.proof_mode = mp::sched::ProofMode::Local;
   so.dispatch = mp::sched::DispatchPolicy::RunToCompletion;
   so.engine.progress = &board;
-  so.engine.debug_stall_prop = 0;
   // Long enough that only the watchdog's preempt ends the quiet window
-  // (the stall hook spins until preempted, then the engine's budget poll
+  // (the stall site spins until preempted, then the engine's budget poll
   // turns the pending request into a clean Suspend).
-  so.engine.debug_stall_seconds = 10.0;
+  so.engine.fault_plan = "task.stall:prop=0,stall=10";
   mp::sched::Scheduler sched(ts, so);
 
   std::atomic<bool> done{false};

@@ -479,7 +479,6 @@ TEST(AdaptiveSlice, ScaleAdaptsAndStaysBounded) {
   aig::Aig aig = gen::make_counter({.bits = 8, .buggy = false});
   ts::TransitionSystem ts(aig);
   sched::EngineOptions engine;
-  ASSERT_TRUE(engine.adaptive_slicing);
   sched::PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
   sched::TaskBudget budget;
   budget.conflicts = 4;
@@ -488,8 +487,8 @@ TEST(AdaptiveSlice, ScaleAdaptsAndStaysBounded) {
   while (task.open()) {
     task.run_slice(budget, nullptr);
     double scale = task.result().slice_scale;
-    EXPECT_GE(scale, engine.slice_scale_min);
-    EXPECT_LE(scale, engine.slice_scale_max);
+    EXPECT_GE(scale, 0.25);
+    EXPECT_LE(scale, 4.0);
     if (scale != 1.0) scale_moved = true;
     ASSERT_LT(++guard, 100000) << "sliced run failed to converge";
   }
@@ -498,30 +497,10 @@ TEST(AdaptiveSlice, ScaleAdaptsAndStaysBounded) {
   EXPECT_TRUE(scale_moved) << "adaptive scale never left 1.0";
 }
 
-TEST(AdaptiveSlice, DisabledKeepsScaleAtOne) {
-  aig::Aig aig = gen::make_counter({.bits = 6, .buggy = false});
-  ts::TransitionSystem ts(aig);
-  sched::EngineOptions engine;
-  engine.adaptive_slicing = false;
-  sched::PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
-  sched::TaskBudget budget;
-  budget.conflicts = 4;
-  int guard = 0;
-  while (task.open()) {
-    task.run_slice(budget, nullptr);
-    EXPECT_EQ(task.result().slice_scale, 1.0);
-    ASSERT_LT(++guard, 100000) << "sliced run failed to converge";
-  }
-  EXPECT_EQ(task.result().verdict, PropertyVerdict::HoldsGlobally);
-}
-
 // Pin the pure slice-sizing decision (mp/sched/property_task.h): grow on
 // frame progress, shrink only on a genuinely stalled slice, no adjustment
 // for slices with no next slice to size.
 TEST(AdaptiveSlice, NextSliceScaleTransitions) {
-  sched::EngineOptions opts;
-  ASSERT_TRUE(opts.adaptive_slicing);
-
   auto slice_result = [](CheckStatus status, bool resumable, int frames,
                          std::uint64_t clauses, std::uint64_t obligations) {
     ic3::Ic3Result er;
@@ -538,48 +517,43 @@ TEST(AdaptiveSlice, NextSliceScaleTransitions) {
                         obligations);
   };
 
-  // Frame progress doubles, saturating at slice_scale_max.
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true, suspended(3, 10, 5), 2,
+  // Frame progress doubles, saturating at the ceiling (4).
+  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(3, 10, 5), 2,
                                     10, 5),
             2.0);
-  EXPECT_EQ(sched::next_slice_scale(opts, 4.0, true, suspended(3, 10, 5), 2,
+  EXPECT_EQ(sched::next_slice_scale(4.0, true, suspended(3, 10, 5), 2,
                                     10, 5),
-            opts.slice_scale_max);
+            4.0);
   // Stalled (no clause, no obligation) halves, saturating at the floor.
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true, suspended(2, 10, 5), 2,
+  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 10, 5), 2,
                                     10, 5),
             0.5);
-  EXPECT_EQ(sched::next_slice_scale(opts, 0.25, true, suspended(2, 10, 5), 2,
+  EXPECT_EQ(sched::next_slice_scale(0.25, true, suspended(2, 10, 5), 2,
                                     10, 5),
-            opts.slice_scale_min);
+            0.25);
   // Suspended mid-generalization (obligations moved, clause counter did
   // not): progress, not a stall — the scale must hold.
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true, suspended(2, 10, 9), 2,
+  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 10, 9), 2,
                                     10, 5),
             1.0);
   // Clause progress without a new frame: steady state, no change.
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true, suspended(2, 14, 9), 2,
+  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 14, 9), 2,
                                     10, 5),
             1.0);
   // Terminal and non-resumable slices have no next slice to size; their
   // counters (often mid-flight) must not be classified.
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true,
+  EXPECT_EQ(sched::next_slice_scale(1.0, true,
                                     slice_result(CheckStatus::Holds, false, 3,
                                                  10, 5),
                                     2, 10, 5),
             1.0);
-  EXPECT_EQ(sched::next_slice_scale(opts, 1.0, true,
+  EXPECT_EQ(sched::next_slice_scale(1.0, true,
                                     slice_result(CheckStatus::Unknown, false,
                                                  2, 10, 5),
                                     2, 10, 5),
             1.0);
-  // Unbudgeted slices and disabled adaptivity never adjust.
-  EXPECT_EQ(sched::next_slice_scale(opts, 2.0, false, suspended(3, 10, 5), 2,
-                                    10, 5),
-            2.0);
-  sched::EngineOptions off = opts;
-  off.adaptive_slicing = false;
-  EXPECT_EQ(sched::next_slice_scale(off, 2.0, true, suspended(3, 10, 5), 2,
+  // Unbudgeted slices never adjust.
+  EXPECT_EQ(sched::next_slice_scale(2.0, false, suspended(3, 10, 5), 2,
                                     10, 5),
             2.0);
 }
